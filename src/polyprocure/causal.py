@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import DEFAULT_CONFIG, LinearProgram, check_feasible
+from .lp import DEFAULT_CONFIG, check_feasible
 from .polytope import contains_point
-from .procurement import PreconditionError
+from .procurement import PreconditionError, _coverage_lp
 
 PREFIX_TOL = 1e-9
 
@@ -113,70 +113,29 @@ def causal_feasibility(tree, resources, alphas, cfg=DEFAULT_CONFIG):
         if res.set.horizon != t:
             raise ValueError("resource horizon differs from scenario length")
 
-    n_cols = 0
-    s_col = {}
-    for node in tree.nodes[1:]:
-        for i in range(len(resources)):
-            s_col[(i, node.node_id)] = n_cols
-            n_cols += 1
-    w_col = {}
-    for i, res in enumerate(resources):
-        periods = res.set.aux_periods or (None,) * res.set.n_aux
-        for j, period in enumerate(periods):
-            if period is None:
-                for leaf in tree.leaves():
-                    w_col[(i, j, leaf)] = n_cols
-                    n_cols += 1
-            else:
-                for node in tree.nodes[1:]:
-                    if node.depth == period:
-                        w_col[(i, j, node.node_id)] = n_cols
-                        n_cols += 1
+    # Node-major outputs: parameter (node_id - 1) * n + i is resource i's
+    # output at that node.
+    n = len(resources)
+    paths = np.array([tree.path(leaf) for leaf in tree.leaves()])
 
-    n_eq = tree.n_nodes - 1
-    a_eq = np.zeros((n_eq, n_cols))
-    b_eq = np.zeros(n_eq)
-    for row, node in enumerate(tree.nodes[1:]):
-        for i in range(len(resources)):
-            a_eq[row, s_col[(i, node.node_id)]] = 1.0
-        b_eq[row] = node.value
+    def trajectory(i, kk):
+        m = np.zeros((t, (tree.n_nodes - 1) * n))
+        m[np.arange(t), (paths[kk] - 1) * n + i] = 1.0
+        return m
 
-    leaves = tree.leaves()
-    m_total = sum(res.set.n_rows for res in resources) * len(leaves)
-    a_le = np.zeros((m_total, n_cols))
-    b_le = np.zeros(m_total)
-    row = 0
-    for leaf in leaves:
-        path = tree.path(leaf)
-        for i, res in enumerate(resources):
-            p = res.set
-            m = p.n_rows
-            a_out, a_aux = p.a[:, :t], p.a[:, t:]
-            for tt, node_id in enumerate(path):
-                a_le[row:row + m, s_col[(i, node_id)]] = a_out[:, tt]
-            periods = p.aux_periods or (None,) * p.n_aux
-            for j, period in enumerate(periods):
-                key = (i, j, leaf if period is None else path[period - 1])
-                a_le[row:row + m, w_col[key]] = a_aux[:, j]
-            b_le[row:row + m] = alphas[i] * p.b
-            row += m
-
-    lp = LinearProgram(c=np.zeros(n_cols), a_eq=a_eq, b_eq=b_eq,
-                       a_le=a_le, b_le=b_le)
+    values = np.array([node.value for node in tree.nodes[1:]])
+    links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), values)
+    lp, cols = _coverage_lp(resources, paths, (tree.n_nodes - 1) * n,
+                            trajectory, links, alphas=alphas)
     res = check_feasible(lp, cfg)
     if not res.feasible:
         return CausalCheck(False)
 
-    x = res.point
-    node_outputs = {
-        node.node_id: np.array([x[s_col[(i, node.node_id)]]
-                                for i in range(len(resources))])
-        for node in tree.nodes[1:]
-    }
-    traj = np.zeros((tree.n_scenarios, len(resources), t))
-    for s, leaf in enumerate(tree.scenario_leaves):
-        for tt, node_id in enumerate(tree.path(leaf)):
-            traj[s, :, tt] = node_outputs[node_id]
+    outputs = res.point[cols.theta].reshape(tree.n_nodes - 1, n)
+    node_outputs = {node.node_id: outputs[node.node_id - 1]
+                    for node in tree.nodes[1:]}
+    scenario_paths = np.array([tree.path(leaf) for leaf in tree.scenario_leaves])
+    traj = outputs[scenario_paths - 1].transpose(0, 2, 1)
     return CausalCheck(True, node_outputs, traj)
 
 
@@ -389,14 +348,35 @@ def dispatch_block(schedule, signal, tol=1e-9):
 
 def read_signals(path):
     """Scenario list from a .json file (array of arrays) or a .csv file
-    (header row, one signal per row)."""
-    text = open(path).read()
+    (optional header row, one signal per row)."""
     if str(path).endswith(".json"):
-        return np.atleast_2d(np.asarray(json.loads(text), dtype=float))
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    start = 0
+        with open(path) as fh:
+            return np.atleast_2d(np.asarray(json.load(fh), dtype=float))
+    return _read_csv(path)
+
+
+def _read_csv(path):
+    """Numeric rows of a CSV file whose first row may be a header.
+
+    Empty, header-only, ragged and non-numeric files raise ValueError with
+    a one-line message.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except OSError as exc:
+        raise ValueError(f"cannot read CSV from {path}: {exc}")
+    if not rows:
+        raise ValueError(f"{path} is empty")
     try:
         [float(v) for v in rows[0]]
     except ValueError:
-        start = 1
-    return np.array([[float(v) for v in r] for r in rows[start:]])
+        rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path} has a header but no data rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"rows of {path} differ in length")
+    try:
+        return np.array([[float(v) for v in r] for r in rows])
+    except ValueError as exc:
+        raise ValueError(f"non-numeric cell in {path}: {exc}")

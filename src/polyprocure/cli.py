@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .causal import build_scenario_tree, causal_feasibility, read_signals
+from .causal import _read_csv, build_scenario_tree, causal_feasibility, read_signals
 from .costalloc import allocate_cost
 from .demandset import (
     SignalDataset,
@@ -79,6 +79,8 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
         return _plain(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
@@ -96,6 +98,16 @@ def _emit(text, out_path):
             fh.write(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _emit_csv(header, rows, out_path):
+    """CSV with numbers to 12 significant digits; strings pass through."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else f"{v:.12g}" for v in row]
+                     for row in rows)
+    _emit(buf.getvalue(), out_path)
 
 
 def _report(command, digest, results, started, out_path):
@@ -131,22 +143,14 @@ def cmd_jstar(args):
 def cmd_bounds(args):
     started = time.perf_counter()
     inst = instance_from_json(_load_json(args.instance))
-    solvers = {"prop": proportional_bound, "tv": tv_proportional_bound,
-               "affine": affine_bound}
-    results = {}
-    infeasible = False
-    if args.policy == "all":
-        oracle = solve_oracle(inst)
-        results["jstar"] = _bound_entry(oracle)
-        infeasible = not oracle.feasible
-        for name, fn in solvers.items():
-            results[name] = _bound_entry(fn(inst))
-    else:
-        res = solvers[args.policy](inst)
-        results[args.policy] = _bound_entry(res)
-        infeasible = not res.feasible
+    solvers = {"jstar": solve_oracle, "prop": proportional_bound,
+               "tv": tv_proportional_bound, "affine": affine_bound}
+    # "all" runs the oracle and every policy; its verdict is the oracle's.
+    names = list(solvers) if args.policy == "all" else [args.policy]
+    runs = {name: solvers[name](inst) for name in names}
+    results = {name: _bound_entry(res) for name, res in runs.items()}
     _report("bounds", _digest(args.instance), results, started, args.out)
-    return EXIT_INFEASIBLE if infeasible else EXIT_OK
+    return EXIT_OK if runs[names[0]].feasible else EXIT_INFEASIBLE
 
 
 def _parse_grid(spec):
@@ -198,13 +202,7 @@ def cmd_poc_sweep(args):
             poc = "NA"
         rows.append((kappa, jstar.cost, jss, poc))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["kappa", "jstar", "jss", "poc"])
-    for kappa, jstar_v, jss_v, poc in rows:
-        writer.writerow([f"{kappa:.12g}", f"{jstar_v:.12g}", f"{jss_v:.12g}",
-                         poc])
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(["kappa", "jstar", "jss", "poc"], rows, args.out)
     return EXIT_OK
 
 
@@ -232,30 +230,11 @@ def cmd_causal_check(args):
     return EXIT_OK if check.feasible else EXIT_INFEASIBLE
 
 
-def _read_table(path):
-    try:
-        rows = [r for r in csv.reader(open(path)) if r]
-    except OSError as exc:
-        raise UsageError(f"cannot read CSV from {path}: {exc}")
-    if not rows:
-        raise UsageError(f"{path} is empty")
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        rows = rows[1:]
-    if not rows:
-        raise UsageError(f"{path} has a header but no data rows")
-    try:
-        return np.array([[float(v) for v in r] for r in rows])
-    except ValueError as exc:
-        raise UsageError(f"non-numeric cell in {path}: {exc}")
-
-
 def cmd_cost_alloc(args):
     started = time.perf_counter()
-    participants = _read_table(args.participants)
+    participants = _read_csv(args.participants)
     if args.aggregate:
-        e = _read_table(args.aggregate).ravel()
+        e = _read_csv(args.aggregate).ravel()
     else:
         e = participants.sum(axis=0)
     shares = allocate_cost(participants, e, args.jss)
@@ -267,7 +246,7 @@ def cmd_cost_alloc(args):
 
 
 def _load_dataset(args):
-    table = _read_table(args.data)
+    table = _read_csv(args.data)
     if table.shape[1] == 1:
         series = table.ravel()
         if args.window and args.window > 1:
@@ -300,12 +279,7 @@ def cmd_demand(args):
     if grid[0] < 1.0:
         raise UsageError("inflation grid must start at 1.0 or above")
     curve = coverage_curve(model, val, grid)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["delta", "coverage"])
-    for d, ratio in curve:
-        writer.writerow([f"{d:.12g}", f"{ratio:.12g}"])
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(["delta", "coverage"], curve, args.out)
     return EXIT_OK
 
 

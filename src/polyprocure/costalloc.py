@@ -57,10 +57,9 @@ def audit_axioms(participants, e, shares, total, tol=AXIOM_TOL):
     align = d @ e
 
     equity = True
-    for i in range(d.shape[0]):
-        for j in range(i + 1, d.shape[0]):
-            if np.allclose(d[i], d[j], atol=tol, rtol=0.0):
-                equity &= abs(shares[i] - shares[j]) <= tol
+    for i in range(d.shape[0] - 1):
+        same = np.all(np.abs(d[i + 1:] - d[i]) <= tol, axis=1)
+        equity &= bool(np.all(np.abs(shares[i + 1:][same] - shares[i]) <= tol))
 
     if np.allclose(d.sum(axis=0), e, atol=tol, rtol=0.0):
         budget = abs(shares.sum() - total) <= tol

@@ -10,7 +10,7 @@ reaches the caller.  Sized for desk-scale problems; no sparsity.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class _Standard:
     def __init__(self, lp):
         n = lp.n_vars
         lo, up = lp.lower, lp.upper
-        self.lp = lp
 
         # Column plan: shift finite-lower variables, mirror upper-only ones,
         # split free ones.  Doubly bounded variables get an extra <= row.
@@ -146,17 +145,16 @@ class _Standard:
                 plus[j] = ncol
                 minus[j] = ncol + 1
                 ncol += 2
-        self.plus, self.minus, self.offset = plus, minus, offset
 
         m_eq, m_le, m_ub = lp.b_eq.size, lp.b_le.size, len(ub_rows)
         m = m_eq + m_le + m_ub
         base = np.vstack([lp.a_eq, lp.a_le]) if m_eq + m_le else np.zeros((0, n))
+        has_plus, has_minus = plus >= 0, minus >= 0
+        self.plus, self.minus, self.offset = plus, minus, offset
+        self.has_plus, self.has_minus = has_plus, has_minus
         a_x = np.zeros((m, ncol))
-        for j in range(n):
-            if plus[j] >= 0:
-                a_x[:m_eq + m_le, plus[j]] = base[:, j]
-            if minus[j] >= 0:
-                a_x[:m_eq + m_le, minus[j]] = -base[:, j]
+        a_x[:m_eq + m_le, plus[has_plus]] = base[:, has_plus]
+        a_x[:m_eq + m_le, minus[has_minus]] = -base[:, has_minus]
         b = np.concatenate([lp.b_eq, lp.b_le, np.zeros(m_ub)])
         b[:m_eq + m_le] -= base @ offset
         for r, (col, width) in enumerate(ub_rows):
@@ -166,11 +164,9 @@ class _Standard:
         # Slack columns for every inequality row (le and ub alike).
         n_slack = m_le + m_ub
         slack_col = np.full(m, -1)
+        slack_col[m_eq:] = ncol + np.arange(n_slack)
         a = np.hstack([a_x, np.zeros((m, n_slack))])
-        for k in range(n_slack):
-            r = m_eq + k
-            slack_col[r] = ncol + k
-            a[r, ncol + k] = 1.0
+        a[np.arange(m_eq, m), slack_col[m_eq:]] = 1.0
 
         # Nonnegative rhs; remember the sign to restore duals later.
         sign = np.ones(m)
@@ -180,27 +176,34 @@ class _Standard:
         sign[neg] = -1.0
 
         c_std = np.zeros(ncol + n_slack)
-        const = float(lp.c @ offset)
-        for j in range(n):
-            if plus[j] >= 0:
-                c_std[plus[j]] += lp.c[j]
-            if minus[j] >= 0:
-                c_std[minus[j]] -= lp.c[j]
+        c_std[plus[has_plus]] += lp.c[has_plus]
+        c_std[minus[has_minus]] -= lp.c[has_minus]
 
         self.a, self.b, self.c = a, b, c_std
-        self.const = const
         self.sign = sign
         self.slack_col = slack_col
-        self.m_eq, self.m_le, self.m_ub = m_eq, m_le, m_ub
-        self.n_struct = ncol + n_slack
+        self.m_eq, self.m_le = m_eq, m_le
 
     def point_from(self, y):
         x = self.offset.copy()
-        has_plus = self.plus >= 0
-        has_minus = self.minus >= 0
-        x[has_plus] += y[self.plus[has_plus]]
-        x[has_minus] -= y[self.minus[has_minus]]
+        x[self.has_plus] += y[self.plus[self.has_plus]]
+        x[self.has_minus] -= y[self.minus[self.has_minus]]
         return x
+
+
+def _pivot(tab, b, basis, leave, enter):
+    """Bring column `enter` into the basis at row `leave`, in place."""
+    pivot = tab[leave, enter]
+    tab[leave] /= pivot
+    b[leave] /= pivot
+    other = tab[:, enter].copy()
+    other[leave] = 0.0
+    tab -= np.outer(other, tab[leave])
+    b -= other * b[leave]
+    tab[:, enter] = 0.0
+    tab[leave, enter] = 1.0
+    np.clip(b, 0.0, None, out=b)
+    basis[leave] = enter
 
 
 def _simplex(tab, b, c, basis, allowed, cfg, counter):
@@ -256,17 +259,7 @@ def _simplex(tab, b, c, basis, allowed, cfg, counter):
         else:
             degenerate = 0
 
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        b[leave] /= pivot
-        other = col.copy()
-        other[leave] = 0.0
-        tab -= np.outer(other, tab[leave])
-        b -= other * b[leave]
-        tab[:, enter] = 0.0
-        tab[leave, enter] = 1.0
-        np.clip(b, 0.0, None, out=b)
-        basis[leave] = enter
+        _pivot(tab, b, basis, leave, enter)
 
 
 class _PhaseOne:
@@ -279,16 +272,12 @@ class _PhaseOne:
 
         # Unflipped inequality rows start on their slack; everything else
         # gets an artificial column.
-        art_rows = [r for r in range(m)
-                    if std.slack_col[r] < 0 or std.sign[r] < 0]
-        n_art = len(art_rows)
+        art_rows = np.flatnonzero((std.slack_col < 0) | (std.sign < 0))
+        n_art = art_rows.size
         tab = np.hstack([a, np.zeros((m, n_art))]).astype(float)
-        basis = np.empty(m, dtype=int)
-        for r in range(m):
-            basis[r] = std.slack_col[r]
-        for k, r in enumerate(art_rows):
-            tab[r, n + k] = 1.0
-            basis[r] = n + k
+        basis = std.slack_col.copy()
+        tab[art_rows, n + np.arange(n_art)] = 1.0
+        basis[art_rows] = n + np.arange(n_art)
         rhs = b.astype(float).copy()
 
         c1 = np.zeros(n + n_art)
@@ -313,17 +302,7 @@ class _PhaseOne:
             if abs(row[enter]) <= self.cfg.pivot_tol:
                 self.row_alive[r] = False  # redundant original row
                 continue
-            pivot = self.tab[r, enter]
-            self.tab[r] /= pivot
-            self.rhs[r] /= pivot
-            other = self.tab[:, enter].copy()
-            other[r] = 0.0
-            self.tab -= np.outer(other, self.tab[r])
-            self.rhs -= other * self.rhs[r]
-            self.tab[:, enter] = 0.0
-            self.tab[r, enter] = 1.0
-            np.clip(self.rhs, 0.0, None, out=self.rhs)
-            self.basis[r] = enter
+            _pivot(self.tab, self.rhs, self.basis, r, enter)
 
     def structural_point(self):
         y = np.zeros(self.n_struct)

@@ -261,13 +261,7 @@ def contains_point(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):
         probe = LinearProgram(c=np.zeros(p.n_aux), a_le=a_aux, b_le=resid)
         return check_feasible(probe, cfg).feasible
 
-    verts = p.vertices
-    k = verts.shape[0]
-    a_eq = np.vstack([delta * (verts - c).T, np.ones((1, k))])
-    b_eq = np.concatenate([x - c, [1.0]])
-    probe = LinearProgram(c=np.zeros(k), a_eq=a_eq, b_eq=b_eq,
-                          lower=np.zeros(k))
-    return check_feasible(probe, cfg).feasible
+    return convex_coefficients(p, x, delta, c, cfg) is not None
 
 
 def convex_coefficients(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):

@@ -7,6 +7,7 @@ proportions, time-varying proportions, causal-affine) and, for battery
 fleets, computed exactly by a two-row aggregate LP.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,107 +88,151 @@ def _infeasible():
     return ProcurementResult(LpStatus.INFEASIBLE)
 
 
-class _Vars:
-    """Running column allocator for hand-assembled LPs."""
+# Column plan of an assembled coverage LP: alpha column per resource (absent
+# when fixed), the policy parameters, and each resource's aux columns as a
+# (scenario, aux coordinate) index array.
+_Columns = namedtuple("_Columns", "alpha theta aux")
 
-    def __init__(self):
-        self.n = 0
 
-    def block(self, size):
-        sl = slice(self.n, self.n + size)
-        self.n += size
-        return sl
+def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
+                 theta_cost=0.0, theta_lower=-np.inf, theta_upper=np.inf,
+                 alphas=None):
+    """The coverage LP shared by the oracle, every policy class and the
+    scenario-tree check: resource i's trajectory on scenario k lies in its
+    alpha_i-scaled unit set, a_out q_ik + a_aux w_ik <= alpha_i b.
+
+    nodes[k, t] names the information state of scenario k at period t; an
+    aux coordinate annotated with period tau is shared by the scenarios
+    whose nodes agree at tau, the others are free per scenario.  The policy
+    class is the parameter count n_theta, the map trajectory(i, k) -> T x
+    n_theta taking theta to q_ik, and equality rows `links` = (a, b) with
+    bounds and a linear objective on theta.  `alphas` fixes the scales;
+    without it alpha_i is a decision priced at resource i's price for
+    scalable resources and pinned to 1 for the others.
+
+    Columns are alpha, theta, then aux per resource, scenario and aux
+    coordinate; rows are the links, then the resource rows resource-major.
+    """
+    k, t = nodes.shape
+    priced = [i for i, res in enumerate(resources) if alphas is None and res.scalable]
+    alpha_col = {i: col for col, i in enumerate(priced)}
+    theta = slice(len(priced), len(priced) + n_theta)
+
+    nv = theta.stop
+    shared = {}
+    aux_cols = []
+    for i, res in enumerate(resources):
+        periods = res.set.aux_periods or (None,) * res.set.n_aux
+        cols = np.zeros((k, res.set.n_aux), dtype=int)
+        for kk in range(k):
+            for j, period in enumerate(periods):
+                key = (i, j, ("scenario", kk) if period is None
+                       else nodes[kk, period - 1])
+                if key not in shared:
+                    shared[key] = nv
+                    nv += 1
+                cols[kk, j] = shared[key]
+        aux_cols.append(cols)
+
+    a_link, b_link = links if links is not None else (np.zeros((0, n_theta)), np.zeros(0))
+    a_eq = np.zeros((len(b_link), nv))
+    a_eq[:, theta] = a_link
+
+    m_total = sum(res.set.n_rows for res in resources) * k
+    a_le = np.zeros((m_total, nv))
+    b_le = np.zeros(m_total)
+    row = 0
+    for i, res in enumerate(resources):
+        p = res.set
+        m = p.n_rows
+        a_out, a_aux = p.a[:, :t], p.a[:, t:]
+        for kk in range(k):
+            rows = slice(row, row + m)
+            traj = trajectory(i, kk)
+            # Only the parameters this trajectory depends on; a one-column
+            # product rounds exactly like the matrix-vector a_out @ v.
+            used = np.flatnonzero(traj.any(axis=0))
+            a_le[rows, theta.start + used] = a_out @ traj[:, used]
+            if p.n_aux:
+                a_le[rows, aux_cols[i][kk]] = a_aux
+            if i in alpha_col:
+                a_le[rows, alpha_col[i]] = -p.b
+            else:
+                b_le[rows] = (1.0 if alphas is None else alphas[i]) * p.b
+            row += m
+
+    c = np.zeros(nv)
+    lower = np.full(nv, -np.inf)
+    upper = np.full(nv, np.inf)
+    c[:theta.start] = [resources[i].price for i in priced]
+    lower[:theta.start] = 0.0
+    c[theta] = theta_cost
+    lower[theta] = theta_lower
+    upper[theta] = theta_upper
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_link, a_le=a_le, b_le=b_le,
+                       lower=lower, upper=upper)
+    return lp, _Columns(alpha_col, theta, aux_cols)
+
+
+def _private_nodes(verts):
+    """Node ids for free per-vertex factorization: no two scenarios share one."""
+    k, t = verts.shape
+    return np.arange(k * t).reshape(k, t)
+
+
+def _solve_policy(inst, what, readout, n_theta, trajectory, links, cfg, **bounds):
+    """Cheapest procurement within a policy class: alpha is priced and the
+    non-scalable resources add their fixed price."""
+    lp, cols = _coverage_lp(inst.resources, _private_nodes(inst.demand.vertices),
+                            n_theta, trajectory, links, **bounds)
+    sol = solve_lp(lp, cfg)
+    if sol.status is LpStatus.INFEASIBLE:
+        return _infeasible()
+    if sol.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"{what} LP became unbounded: malformed instance")
+    x = sol.point
+    const = sum(res.price for res in inst.resources if not res.scalable)
+    alphas = np.array([x[cols.alpha[i]] if i in cols.alpha else 1.0
+                       for i in range(inst.n_resources)])
+    return ProcurementResult(LpStatus.OPTIMAL, alphas,
+                             float(sol.objective_value + const),
+                             readout(x[cols.theta], x, cols))
+
+
+def _place(block, n_theta, at=0):
+    """T x n_theta map that is `block` in the columns from `at` on, zero elsewhere."""
+    m = np.zeros((block.shape[0], n_theta))
+    m[:, at:at + block.shape[1]] = block
+    return m
 
 
 def solve_oracle(inst, cfg=DEFAULT_CONFIG):
     """Minimum cost when each demand vertex may be factorized independently.
 
-    Variables: alpha_i per scalable resource plus a trajectory (and lifted
-    aux) per resource per demand vertex; conservation ties the trajectories
-    to the vertex, and each trajectory obeys its resource's rows at scale
-    alpha_i (fixed to 1 for non-scalable resources).
+    The parameters are a free trajectory per resource per demand vertex
+    (resource-major); conservation ties the trajectories to the vertex.
     """
     verts = inst.demand.vertices
     k, t = verts.shape
     n = inst.n_resources
 
-    vm = _Vars()
-    alpha_col = [vm.block(1).start if res.scalable else None for res in inst.resources]
-    q_sl = [[vm.block(t) for _ in range(k)] for _ in range(n)]
-    w_sl = [[vm.block(res.set.n_aux) for _ in range(k)] for res in inst.resources]
-    nv = vm.n
+    def trajectory(i, kk):
+        return _place(np.eye(t), n * k * t, (i * k + kk) * t)
 
-    a_eq = np.zeros((k * t, nv))
-    b_eq = np.zeros(k * t)
-    for kk in range(k):
-        for i in range(n):
-            a_eq[kk * t:(kk + 1) * t, q_sl[i][kk]] = np.eye(t)
-        b_eq[kk * t:(kk + 1) * t] = verts[kk]
+    def readout(theta, x, cols):
+        return {"q": theta.reshape(n, k, t), "aux": [x[a] for a in cols.aux]}
 
-    m_total = sum(res.set.n_rows for res in inst.resources) * k
-    a_le = np.zeros((m_total, nv))
-    b_le = np.zeros(m_total)
-    row = 0
-    for i, res in enumerate(inst.resources):
-        p = res.set
-        m = p.n_rows
-        a_out, a_aux = p.a[:, :t], p.a[:, t:]
-        for kk in range(k):
-            a_le[row:row + m, q_sl[i][kk]] = a_out
-            if p.n_aux:
-                a_le[row:row + m, w_sl[i][kk]] = a_aux
-            if alpha_col[i] is not None:
-                a_le[row:row + m, alpha_col[i]] = -p.b
-            else:
-                b_le[row:row + m] = p.b
-            row += m
-
-    c = np.zeros(nv)
-    lower = np.full(nv, -np.inf)
-    for i, res in enumerate(inst.resources):
-        if alpha_col[i] is not None:
-            c[alpha_col[i]] = res.price
-            lower[alpha_col[i]] = 0.0
-    const = sum(res.price for res in inst.resources if not res.scalable)
-
-    sol = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le,
-                                 lower=lower), cfg)
-    if sol.status is LpStatus.INFEASIBLE:
-        return _infeasible()
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("oracle LP became unbounded: malformed instance")
-
-    x = sol.point
-    alphas = np.array([x[alpha_col[i]] if alpha_col[i] is not None else 1.0
-                       for i in range(n)])
-    q = np.array([[x[q_sl[i][kk]] for kk in range(k)] for i in range(n)])
-    aux = [np.array([x[w_sl[i][kk]] for kk in range(k)]) for i in range(n)]
-    return ProcurementResult(LpStatus.OPTIMAL, alphas,
-                             float(sol.objective_value + const),
-                             {"q": q, "aux": aux})
+    links = (np.tile(np.eye(k * t), (1, n)), verts.ravel())
+    return _solve_policy(inst, "oracle", readout, n * k * t, trajectory, links, cfg)
 
 
 def _max_proportion(p, verts, cfg):
     """Largest beta in [0, 1] with beta * v_k inside the unit set for all k;
     None when no proportion works at all."""
-    k, t = verts.shape
-    m = p.n_rows
-    a_out, a_aux = p.a[:, :t], p.a[:, t:]
-    nv = 1 + k * p.n_aux
-    a_le = np.zeros((m * k, nv))
-    b_le = np.zeros(m * k)
-    for kk in range(k):
-        a_le[kk * m:(kk + 1) * m, 0] = a_out @ verts[kk]
-        if p.n_aux:
-            cols = slice(1 + kk * p.n_aux, 1 + (kk + 1) * p.n_aux)
-            a_le[kk * m:(kk + 1) * m, cols] = a_aux
-        b_le[kk * m:(kk + 1) * m] = p.b
-    c = np.zeros(nv)
-    c[0] = -1.0
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    lower[0], upper[0] = 0.0, 1.0
-    sol = solve_lp(LinearProgram(c=c, a_le=a_le, b_le=b_le, lower=lower, upper=upper), cfg)
+    lp, _ = _coverage_lp([Resource(p, 0.0, False)], _private_nodes(verts), 1,
+                         lambda i, kk: _place(verts[kk][:, None], 1), theta_cost=-1.0,
+                         theta_lower=0.0, theta_upper=1.0)
+    sol = solve_lp(lp, cfg)
     if sol.status is not LpStatus.OPTIMAL:
         return None
     return float(sol.point[0])
@@ -196,29 +241,17 @@ def _max_proportion(p, verts, cfg):
 def cover_scale(p, verts, cfg=DEFAULT_CONFIG):
     """k_i: the smallest alpha with every vertex inside alpha * S_i, or None."""
     verts = np.asarray(verts, dtype=float)
-    k, t = verts.shape
-    m = p.n_rows
-    a_out, a_aux = p.a[:, :t], p.a[:, t:]
     if p.n_aux == 0 and np.all(p.b > 0):
         ratios = (p.a @ verts.T) / p.b[:, None]
         return float(max(0.0, ratios.max()))
-    nv = 1 + k * p.n_aux
-    a_le = np.zeros((m * k, nv))
-    b_le = np.zeros(m * k)
-    for kk in range(k):
-        a_le[kk * m:(kk + 1) * m, 0] = -p.b
-        if p.n_aux:
-            cols = slice(1 + kk * p.n_aux, 1 + (kk + 1) * p.n_aux)
-            a_le[kk * m:(kk + 1) * m, cols] = a_aux
-        b_le[kk * m:(kk + 1) * m] = -a_out @ verts[kk]
-    c = np.zeros(nv)
-    c[0] = 1.0
-    lower = np.full(nv, -np.inf)
-    lower[0] = 0.0
-    sol = solve_lp(LinearProgram(c=c, a_le=a_le, b_le=b_le, lower=lower), cfg)
+    # The whole signal on one priced resource: a proportion pinned to 1.
+    lp, cols = _coverage_lp([Resource(p, 1.0)], _private_nodes(verts), 1,
+                            lambda i, kk: _place(verts[kk][:, None], 1),
+                            theta_lower=1.0, theta_upper=1.0)
+    sol = solve_lp(lp, cfg)
     if sol.status is not LpStatus.OPTIMAL:
         return None
-    return float(sol.point[0])
+    return float(sol.point[cols.alpha[0]])
 
 
 def proportional_bound(inst, cfg=DEFAULT_CONFIG):
@@ -275,184 +308,70 @@ def proportional_bound(inst, cfg=DEFAULT_CONFIG):
 
 def _joint_proportions(inst, non_idx, verts, cfg):
     """Proportions for non-scalables alone: sum to one, each feasible."""
-    k, t = verts.shape
-    vm = _Vars()
-    b_col = {i: vm.block(1).start for i in non_idx}
-    w_sl = {(i, kk): vm.block(inst.resources[i].set.n_aux)
-            for i in non_idx for kk in range(k)}
-    nv = vm.n
-    rows = []
-    rhs = []
-    for i in non_idx:
-        p = inst.resources[i].set
-        a_out, a_aux = p.a[:, :t], p.a[:, t:]
-        for kk in range(k):
-            block = np.zeros((p.n_rows, nv))
-            block[:, b_col[i]] = a_out @ verts[kk]
-            if p.n_aux:
-                block[:, w_sl[(i, kk)]] = a_aux
-            rows.append(block)
-            rhs.append(p.b)
-    a_eq = np.zeros((1, nv))
-    for i in non_idx:
-        a_eq[0, b_col[i]] = 1.0
-    lower = np.full(nv, -np.inf)
-    upper = np.full(nv, np.inf)
-    for i in non_idx:
-        lower[b_col[i]], upper[b_col[i]] = 0.0, 1.0
-    lp = LinearProgram(c=np.zeros(nv), a_eq=a_eq, b_eq=[1.0],
-                       a_le=np.vstack(rows), b_le=np.concatenate(rhs),
-                       lower=lower, upper=upper)
+    nn = len(non_idx)
+    lp, _ = _coverage_lp([inst.resources[i] for i in non_idx], _private_nodes(verts),
+                         nn, lambda j, kk: _place(verts[kk][:, None], nn, j),
+                         links=(np.ones((1, nn)), [1.0]), theta_lower=0.0,
+                         theta_upper=1.0)
     sol = solve_lp(lp, cfg)
     if sol.status is not LpStatus.OPTIMAL:
         return None
-    return [float(sol.point[b_col[i]]) for i in non_idx]
+    return [float(b) for b in sol.point[:nn]]
 
 
 def tv_proportional_bound(inst, cfg=DEFAULT_CONFIG):
     """Time-varying proportions: beta_i^t >= 0 summing to one per period."""
     verts = inst.demand.vertices
-    k, t = verts.shape
+    t = inst.horizon
     n = inst.n_resources
 
-    vm = _Vars()
-    alpha_col = [vm.block(1).start if res.scalable else None for res in inst.resources]
-    beta_sl = [vm.block(t) for _ in range(n)]
-    w_sl = [[vm.block(res.set.n_aux) for _ in range(k)] for res in inst.resources]
-    nv = vm.n
+    def trajectory(i, kk):
+        return _place(np.diag(verts[kk]), n * t, i * t)
 
-    a_eq = np.zeros((t, nv))
-    for i in range(n):
-        a_eq[:, beta_sl[i]] = np.eye(t)
-    b_eq = np.ones(t)
-
-    m_total = sum(res.set.n_rows for res in inst.resources) * k
-    a_le = np.zeros((m_total, nv))
-    b_le = np.zeros(m_total)
-    row = 0
-    for i, res in enumerate(inst.resources):
-        p = res.set
-        m = p.n_rows
-        a_out, a_aux = p.a[:, :t], p.a[:, t:]
-        for kk in range(k):
-            a_le[row:row + m, beta_sl[i]] = a_out * verts[kk][None, :]
-            if p.n_aux:
-                a_le[row:row + m, w_sl[i][kk]] = a_aux
-            if alpha_col[i] is not None:
-                a_le[row:row + m, alpha_col[i]] = -p.b
-            else:
-                b_le[row:row + m] = p.b
-            row += m
-
-    c = np.zeros(nv)
-    lower = np.full(nv, -np.inf)
-    for i, res in enumerate(inst.resources):
-        lower[beta_sl[i]] = 0.0
-        if alpha_col[i] is not None:
-            c[alpha_col[i]] = res.price
-            lower[alpha_col[i]] = 0.0
-    const = sum(res.price for res in inst.resources if not res.scalable)
-
-    sol = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le,
-                                 lower=lower), cfg)
-    if sol.status is LpStatus.INFEASIBLE:
-        return _infeasible()
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("time-varying proportion LP became unbounded")
-    x = sol.point
-    alphas = np.array([x[alpha_col[i]] if alpha_col[i] is not None else 1.0
-                       for i in range(n)])
-    beta = np.array([x[beta_sl[i]] for i in range(n)])
-    return ProcurementResult(LpStatus.OPTIMAL, alphas,
-                             float(sol.objective_value + const), {"beta": beta})
+    links = (np.tile(np.eye(t), (1, n)), np.ones(t))
+    return _solve_policy(inst, "time-varying proportion",
+                         lambda theta, x, cols: {"beta": theta.reshape(n, t)},
+                         n * t, trajectory, links, cfg, theta_lower=0.0)
 
 
 def affine_bound(inst, cfg=DEFAULT_CONFIG):
     """Causal-affine policies phi_i(e) = F_i e + D_i with lower-triangular F_i,
-    sum F_i = I and sum D_i = 0; cost of the cheapest feasible policy."""
+    sum F_i = I and sum D_i = 0; cost of the cheapest feasible policy.
+
+    The parameters are every packed lower triangle F_i, then every D_i.
+    """
     verts = inst.demand.vertices
-    k, t = verts.shape
+    t = inst.horizon
     n = inst.n_resources
-    tri = [(r, c) for r in range(t) for c in range(r + 1)]
-    ntri = len(tri)
+    tri_r, tri_c = np.tril_indices(t)
+    ntri = tri_r.size
 
-    vm = _Vars()
-    alpha_col = [vm.block(1).start if res.scalable else None for res in inst.resources]
-    f_sl = [vm.block(ntri) for _ in range(n)]
-    d_sl = [vm.block(t) for _ in range(n)]
-    w_sl = [[vm.block(res.set.n_aux) for _ in range(k)] for res in inst.resources]
-    nv = vm.n
+    def trajectory(i, kk):
+        # Packed lower triangle to F @ v_k: entry (r, (r, c)) = v_k[c].
+        m = np.zeros((t, n * (ntri + t)))
+        m[tri_r, i * ntri + np.arange(ntri)] = verts[kk][tri_c]
+        m[:, n * ntri + i * t:n * ntri + (i + 1) * t] = np.eye(t)
+        return m
 
-    a_eq = np.zeros((ntri + t, nv))
-    b_eq = np.zeros(ntri + t)
-    for l, (r, c_) in enumerate(tri):
-        for i in range(n):
-            a_eq[l, f_sl[i].start + l] = 1.0
-        b_eq[l] = 1.0 if r == c_ else 0.0
-    for tt in range(t):
-        for i in range(n):
-            a_eq[ntri + tt, d_sl[i].start + tt] = 1.0
+    def readout(theta, x, cols):
+        f = np.zeros((n, t, t))
+        f[:, tri_r, tri_c] = theta[:n * ntri].reshape(n, ntri)
+        return {"F": f, "D": theta[n * ntri:].reshape(n, t)}
 
-    # Maps the packed lower triangle to F @ v_k: entry (r, (r, c)) = v_k[c].
-    maps = []
-    for kk in range(k):
-        m_k = np.zeros((t, ntri))
-        for l, (r, c_) in enumerate(tri):
-            m_k[r, l] = verts[kk][c_]
-        maps.append(m_k)
-
-    m_total = sum(res.set.n_rows for res in inst.resources) * k
-    a_le = np.zeros((m_total, nv))
-    b_le = np.zeros(m_total)
-    row = 0
-    for i, res in enumerate(inst.resources):
-        p = res.set
-        m = p.n_rows
-        a_out, a_aux = p.a[:, :t], p.a[:, t:]
-        for kk in range(k):
-            a_le[row:row + m, f_sl[i]] = a_out @ maps[kk]
-            a_le[row:row + m, d_sl[i]] = a_out
-            if p.n_aux:
-                a_le[row:row + m, w_sl[i][kk]] = a_aux
-            if alpha_col[i] is not None:
-                a_le[row:row + m, alpha_col[i]] = -p.b
-            else:
-                b_le[row:row + m] = p.b
-            row += m
-
-    c = np.zeros(nv)
-    lower = np.full(nv, -np.inf)
-    for i, res in enumerate(inst.resources):
-        if alpha_col[i] is not None:
-            c[alpha_col[i]] = res.price
-            lower[alpha_col[i]] = 0.0
-    const = sum(res.price for res in inst.resources if not res.scalable)
-
-    sol = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le,
-                                 lower=lower), cfg)
-    if sol.status is LpStatus.INFEASIBLE:
-        return _infeasible()
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("affine policy LP became unbounded")
-    x = sol.point
-    alphas = np.array([x[alpha_col[i]] if alpha_col[i] is not None else 1.0
-                       for i in range(n)])
-    f = np.zeros((n, t, t))
-    d = np.zeros((n, t))
-    for i in range(n):
-        for l, (r, c_) in enumerate(tri):
-            f[i, r, c_] = x[f_sl[i].start + l]
-        d[i] = x[d_sl[i]]
-    return ProcurementResult(LpStatus.OPTIMAL, alphas,
-                             float(sol.objective_value + const), {"F": f, "D": d})
+    a_link = np.zeros((ntri + t, n * (ntri + t)))
+    a_link[:ntri, :n * ntri] = np.tile(np.eye(ntri), (1, n))
+    a_link[ntri:, n * ntri:] = np.tile(np.eye(t), (1, n))
+    b_link = np.concatenate([(tri_r == tri_c).astype(float), np.zeros(t)])
+    return _solve_policy(inst, "affine policy", readout, n * (ntri + t),
+                         trajectory, (a_link, b_link), cfg)
 
 
 def battery_exact_procurement(batteries, prices, cfg=DEFAULT_CONFIG):
     """The aggregate two-row LP whose value is the exact causal cost for
     battery fleets whose demand is the full Minkowski sum (long horizons).
 
-    Requires sum C_i <= 2 sum r_i; the horizon-length condition is the
-    caller's responsibility (see battery_exact_jss docstring).
+    Requires zero initial charge and sum C_i <= 2 sum r_i; the horizon-length
+    condition is the caller's responsibility (see battery_exact_jss docstring).
     """
     batteries = list(batteries)
     prices = np.asarray(prices, dtype=float)
@@ -460,6 +379,11 @@ def battery_exact_procurement(batteries, prices, cfg=DEFAULT_CONFIG):
         raise ValueError("one price per battery required")
     if np.any(prices < 0):
         raise ValueError("prices must be nonnegative")
+    charged = [i for i, b in enumerate(batteries) if b.soc != 0]
+    if charged:
+        raise PreconditionError(
+            f"battery {charged[0]} has initial charge {batteries[charged[0]].soc}; "
+            "the exact causal cost needs every battery empty")
     caps = np.array([b.capacity for b in batteries])
     rates = np.array([b.rate for b in batteries])
     if caps.sum() > 2 * rates.sum() + 1e-9:

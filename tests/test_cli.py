@@ -152,6 +152,20 @@ class TestPocSweep:
         assert main(["poc-sweep", path, "--kappa", "1:1:1"]) == EXIT_PRECONDITION
 
 
+    def test_charged_battery_is_a_precondition_failure(self, tmp_path, capsys):
+        # Nonzero initial charge once printed jss 1 below jstar 1.5 with exit 0.
+        spec = {"horizon": 3,
+                "batteries": [{"capacity": 1, "rate": 1, "soc": 0.5},
+                              {"capacity": 1.5, "rate": 1}],
+                "prices": [1, 1], "kappa_index": 1}
+        path = write_json(tmp_path, "sweep.json", spec)
+        code = main(["poc-sweep", path, "--kappa", "0.5:2:0.5"])
+        assert code == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "initial charge" in captured.err
+
+
 class TestCausalCheck:
     def scenarios_csv(self, tmp_path, rows):
         path = tmp_path / "scen.csv"
@@ -176,6 +190,19 @@ class TestCausalCheck:
         for node in rep.results["nodes"].values():
             assert sum(node["outputs"]) == pytest.approx(node["value"], abs=1e-7)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
+                                      "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n"])
+    def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
+        inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
+        scen = tmp_path / "scen.csv"
+        scen.write_text(text)
+        code = main(["causal-check", inst, str(scen), "--alpha", "1", "1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_alpha_count_checked(self, tmp_path, capsys):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
         scen = self.scenarios_csv(tmp_path, [[1, 1, -2]])
@@ -191,7 +218,7 @@ class TestCostAlloc:
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rep.results["aggregate"] == [2.0, 2.0]
         assert sum(rep.results["shares"]) == pytest.approx(6.0, abs=1e-9)
-        assert all(rep.results["axioms"].values())
+        assert all(value is True for value in rep.results["axioms"].values())
 
     def test_explicit_aggregate(self, tmp_path, capsys):
         parts = tmp_path / "parts.csv"

@@ -83,6 +83,21 @@ class TestAxioms:
         verdict = audit_axioms(d, e, np.array([3.0, 1.0]), total=4.0)
         assert not verdict["equity"]
 
+    def test_equity_catches_one_planted_offset_in_a_large_panel(self):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(50, 24))
+        d = np.vstack([base, base[::2]])  # 25 duplicated rows
+        e = d.sum(axis=0)
+        res = allocate_cost(d, e, 7.0)
+        assert all(res.axioms.values()), res.axioms
+        planted = res.shares.copy()
+        planted[-1] += 1e-6  # last row duplicates base[48]
+        verdict = audit_axioms(d, e, planted, total=7.0)
+        assert not verdict["equity"]
+        planted[-1] -= 1e-6
+        planted[48] += 1e-6
+        assert not audit_axioms(d, e, planted, total=7.0)["equity"]
+
     def test_budget_vacuous_when_not_partition(self):
         e = np.array([1.0, 1.0])
         d = np.array([[5.0, 5.0]])
