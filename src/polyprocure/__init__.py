@@ -1,11 +1,9 @@
 """Forward procurement of polytopic resources under demand uncertainty."""
 
 from .lp import (
-    DEFAULT_CONFIG,
     IterationLimitError,
     LinearProgram,
     LpStatus,
-    SolverConfig,
     check_feasible,
     solve_lp,
 )

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import DEFAULT_CONFIG, check_feasible
+from .lp import FEAS_TOL, check_feasible
 from .polytope import contains_point
 from .procurement import PreconditionError, _coverage_lp
 
 PREFIX_TOL = 1e-9
+REPLAY_TOL = 1e-7  # slack of a replayed dispatch: signal sum, unprocured output
+PROCURED_TOL = 1e-6  # slack of the aggregate rows a block policy needs
 
 
 @dataclass
@@ -35,7 +37,7 @@ class TreeNode:
 class ScenarioTree:
     """Prefix tree of equal-length signals; node 0 is the virtual root."""
 
-    def __init__(self, signals, prefix_tol=PREFIX_TOL):
+    def __init__(self, signals):
         signals = np.atleast_2d(np.asarray(signals, dtype=float))
         if signals.size == 0:
             raise ValueError("need at least one scenario")
@@ -50,7 +52,7 @@ class ScenarioTree:
             for value in row:
                 nxt = None
                 for cid in cur.children:
-                    if abs(self.nodes[cid].value - value) <= prefix_tol:
+                    if abs(self.nodes[cid].value - value) <= PREFIX_TOL:
                         nxt = self.nodes[cid]
                         break
                 if nxt is None:
@@ -82,8 +84,8 @@ class ScenarioTree:
         return out[::-1]
 
 
-def build_scenario_tree(signals, prefix_tol=PREFIX_TOL):
-    return ScenarioTree(signals, prefix_tol)
+def build_scenario_tree(signals):
+    return ScenarioTree(signals)
 
 
 @dataclass
@@ -93,7 +95,7 @@ class CausalCheck:
     trajectories: np.ndarray = None  # (n_scenarios, n_resources, T)
 
 
-def causal_feasibility(tree, resources, alphas, cfg=DEFAULT_CONFIG):
+def causal_feasibility(tree, resources, alphas):
     """Can outputs attached to tree nodes cover every scenario within the
     alpha-scaled unit sets?
 
@@ -127,7 +129,7 @@ def causal_feasibility(tree, resources, alphas, cfg=DEFAULT_CONFIG):
     links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), values)
     lp, cols = _coverage_lp(resources, paths, (tree.n_nodes - 1) * n,
                             trajectory, links, alphas=alphas)
-    res = check_feasible(lp, cfg)
+    res = check_feasible(lp)
     if not res.feasible:
         return CausalCheck(False)
 
@@ -139,21 +141,19 @@ def causal_feasibility(tree, resources, alphas, cfg=DEFAULT_CONFIG):
     return CausalCheck(True, node_outputs, traj)
 
 
-def verify_dispatch(trajectories, resources, alphas, signal=None, tol=1e-7,
-                    cfg=DEFAULT_CONFIG):
+def verify_dispatch(trajectories, resources, alphas, signal=None):
     """Replay check: each per-resource trajectory lies in its scaled set and,
     when the signal is given, the trajectories sum to it."""
     trajectories = np.asarray(trajectories, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if signal is not None:
-        if not np.allclose(trajectories.sum(axis=0), signal, atol=tol):
+        if not np.allclose(trajectories.sum(axis=0), signal, atol=REPLAY_TOL):
             return False
     for i, res in enumerate(resources):
         if alphas[i] > 1e-12:
-            if not contains_point(res.set, trajectories[i], delta=float(alphas[i]),
-                                  cfg=cfg):
+            if not contains_point(res.set, trajectories[i], delta=float(alphas[i])):
                 return False
-        elif np.max(np.abs(trajectories[i])) > tol:
+        elif np.max(np.abs(trajectories[i])) > REPLAY_TOL:
             return False
     return True
 
@@ -175,10 +175,9 @@ class AffinePolicy:
         for i in range(f.shape[0]):
             if np.any(np.triu(f[i], 1) != 0.0):
                 raise ValueError("gain matrices must be lower triangular")
-        tol = DEFAULT_CONFIG.feas_tol
-        if not np.allclose(f.sum(axis=0), np.eye(f.shape[1]), atol=tol):
+        if not np.allclose(f.sum(axis=0), np.eye(f.shape[1]), atol=FEAS_TOL):
             raise ValueError("gains must sum to the identity")
-        if not np.allclose(d.sum(axis=0), 0.0, atol=tol):
+        if not np.allclose(d.sum(axis=0), 0.0, atol=FEAS_TOL):
             raise ValueError("offsets must sum to zero")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "d", d)
@@ -244,7 +243,7 @@ class BlockSchedule:
         return fills
 
 
-def build_block_policy(batteries, alphas, tol=1e-6):
+def build_block_policy(batteries, alphas):
     """Lay out the procured capacities as blocks along the aggregate fill
     axis: batteries with capacity >= twice the rate contribute two rate-sized
     blocks bracketing everything else, intermediate batteries are split into
@@ -265,9 +264,9 @@ def build_block_policy(batteries, alphas, tol=1e-6):
     alphas = np.clip(alphas, 0.0, None)
     caps = np.array([b.capacity for b in batteries])
     rates = np.array([b.rate for b in batteries])
-    if alphas @ rates < rates.sum() - tol:
+    if alphas @ rates < rates.sum() - PROCURED_TOL:
         raise PreconditionError("procured rate below the fleet's total rate")
-    if alphas @ np.minimum(2 * rates, caps) < caps.sum() - tol:
+    if alphas @ np.minimum(2 * rates, caps) < caps.sum() - PROCURED_TOL:
         raise PreconditionError("procured swing below the fleet's total capacity")
     for i, b in enumerate(batteries):
         if alphas[i] > 1e-9 and b.capacity < b.rate - 1e-12:
@@ -317,7 +316,7 @@ def build_block_policy(batteries, alphas, tol=1e-6):
                          float(cursor), tuple(split_ledger))
 
 
-def dispatch_block(schedule, signal, tol=1e-9):
+def dispatch_block(schedule, signal):
     """Dispatch one signal through the block schedule.
 
     Returns per-battery powers (n_batteries, T).  Raises DispatchRangeError
@@ -331,7 +330,7 @@ def dispatch_block(schedule, signal, tol=1e-9):
     fills = schedule._fills(x)
     for t, e in enumerate(signal):
         x_new = x + e
-        if x_new < -tol or x_new > schedule.total + tol:
+        if x_new < -FEAS_TOL or x_new > schedule.total + FEAS_TOL:
             raise DispatchRangeError(t + 1, x_new)
         x_new = min(max(x_new, 0.0), schedule.total)
         new_fills = schedule._fills(x_new)

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def _plain(value):
 
 
 def _digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _emit(text, out_path):
@@ -119,7 +120,8 @@ def _report(command, digest, results, started, out_path):
 
 def _load_json(path):
     try:
-        return json.load(open(path))
+        with open(path) as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
 
@@ -246,14 +248,19 @@ def cmd_cost_alloc(args):
 
 
 def _load_dataset(args):
+    if args.window < 0:
+        raise UsageError("--window must not be negative")
     table = _read_csv(args.data)
     if table.shape[1] == 1:
         series = table.ravel()
-        if args.window and args.window > 1:
+        if args.window > 1:
             series = window_average(series, args.window)
         if not args.horizon:
             raise UsageError("--T is required for single-column data")
         return segment(series, args.horizon, provenance=args.data)
+    if args.window > 1:
+        raise UsageError(f"--window averages single-column data; this data has "
+                         f"{table.shape[1]} columns")
     if args.horizon and table.shape[1] != args.horizon:
         raise UsageError(f"data has {table.shape[1]} columns but --T "
                          f"is {args.horizon}")
@@ -369,3 +376,7 @@ def main(argv=None):
     except IterationLimitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,7 @@ def allocate_cost(participants, e, jss):
     return CostShares(shares, float(jss), axioms)
 
 
-def audit_axioms(participants, e, shares, total, tol=AXIOM_TOL):
+def audit_axioms(participants, e, shares, total):
     """Check the four cost-causation axioms for any share vector.
 
     equity: identical trajectories get identical shares.
@@ -58,18 +58,18 @@ def audit_axioms(participants, e, shares, total, tol=AXIOM_TOL):
 
     equity = True
     for i in range(d.shape[0] - 1):
-        same = np.all(np.abs(d[i + 1:] - d[i]) <= tol, axis=1)
-        equity &= bool(np.all(np.abs(shares[i + 1:][same] - shares[i]) <= tol))
+        same = np.all(np.abs(d[i + 1:] - d[i]) <= AXIOM_TOL, axis=1)
+        equity &= bool(np.all(np.abs(shares[i + 1:][same] - shares[i]) <= AXIOM_TOL))
 
-    if np.allclose(d.sum(axis=0), e, atol=tol, rtol=0.0):
-        budget = abs(shares.sum() - total) <= tol
+    if np.allclose(d.sum(axis=0), e, atol=AXIOM_TOL, rtol=0.0):
+        budget = abs(shares.sum() - total) <= AXIOM_TOL
     else:
         budget = True
 
     causers = align > ZERO_ALIGNMENT_TOL
     mitigators = align < -ZERO_ALIGNMENT_TOL
-    penalty = bool(np.all(shares[causers] > -tol))
-    reward = bool(np.all(shares[mitigators] < tol))
+    penalty = bool(np.all(shares[causers] > -AXIOM_TOL))
+    reward = bool(np.all(shares[mitigators] < AXIOM_TOL))
 
     return {
         "equity": bool(equity),

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import DEFAULT_CONFIG
 from .polytope import VPolytope, contains_point
 
 
@@ -95,20 +94,19 @@ def build_model(train, delta=1.0, center="centroid"):
     return DemandSetModel(VPolytope(train.samples), c, float(delta))
 
 
-def covers(model, x, cfg=DEFAULT_CONFIG):
-    return contains_point(model.vertices, x, delta=model.delta,
-                          center=model.center, cfg=cfg)
+def covers(model, x):
+    return contains_point(model.vertices, x, delta=model.delta, center=model.center)
 
 
-def coverage_ratio(model, validation, cfg=DEFAULT_CONFIG):
+def coverage_ratio(model, validation):
     """Fraction of validation samples inside the inflated hull."""
     if validation.horizon != model.vertices.horizon:
         raise ValueError("validation horizon differs from the model")
-    hits = sum(covers(model, x, cfg) for x in validation.samples)
+    hits = sum(covers(model, x) for x in validation.samples)
     return hits / validation.n_samples
 
 
-def coverage_curve(model, validation, deltas, cfg=DEFAULT_CONFIG):
+def coverage_curve(model, validation, deltas):
     """(delta, coverage) pairs over an ascending grid of inflations."""
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -118,5 +116,5 @@ def coverage_curve(model, validation, deltas, cfg=DEFAULT_CONFIG):
     out = []
     for d in deltas:
         m = DemandSetModel(model.vertices, model.center, d)
-        out.append((d, coverage_ratio(m, validation, cfg)))
+        out.append((d, coverage_ratio(m, validation)))
     return out

@@ -28,23 +28,14 @@ class IterationLimitError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    feas_tol: float = 1e-9
-    pivot_tol: float = 1e-10
-    max_iterations: int = 100_000
-
-    def __post_init__(self):
-        if not (self.feas_tol > 0 and self.pivot_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
-
+FEAS_TOL = 1e-9  # feasibility and optimality tolerance
+PIVOT_TOL = 1e-10  # smallest usable pivot entry
+MAX_ITERATIONS = 100_000  # pivot budget of one solve, both phases together
 # Bland's rule takes over after this many consecutive degenerate pivots.
 _DEGENERATE_PIVOT_LIMIT = 1000
+# A pivot updates the tableau in row blocks of about this many bytes, so it
+# allocates no temporary the size of the tableau.
+_UPDATE_BLOCK_BYTES = 1 << 20
 
 
 def _as_rows(a, b, n, label):
@@ -198,7 +189,10 @@ def _pivot(tab, b, basis, leave, enter):
     b[leave] /= pivot
     other = tab[:, enter].copy()
     other[leave] = 0.0
-    tab -= np.outer(other, tab[leave])
+    row = tab[leave].copy()
+    step = max(1, _UPDATE_BLOCK_BYTES // row.nbytes)
+    for lo in range(0, tab.shape[0], step):
+        tab[lo:lo + step] -= np.outer(other[lo:lo + step], row)
     b -= other * b[leave]
     tab[:, enter] = 0.0
     tab[leave, enter] = 1.0
@@ -206,53 +200,51 @@ def _pivot(tab, b, basis, leave, enter):
     basis[leave] = enter
 
 
-def _simplex(tab, b, c, basis, allowed, cfg, counter):
+def _simplex(tab, b, c, basis, counter):
     """Run phase iterations on the current tableau in place.
 
     tab is B^-1 A for the full column set; b is B^-1 rhs; basis maps rows to
-    column indices; allowed masks columns permitted to enter.  Returns
-    "optimal" or "unbounded".  counter is a one-element iteration budget.
+    column indices.  Returns "optimal" or "unbounded".  counter is a
+    one-element iteration budget.
     """
     m = b.size
     bland = False
     degenerate = 0
     while True:
-        if counter[0] >= cfg.max_iterations:
-            raise IterationLimitError(
-                f"simplex exceeded {cfg.max_iterations} pivots")
+        if counter[0] >= MAX_ITERATIONS:
+            raise IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} pivots")
         counter[0] += 1
 
         z = c - c[basis] @ tab if m else c.astype(float)
-        z = np.where(allowed, z, np.inf)
         if bland:
-            improving = np.flatnonzero(z < -cfg.feas_tol)
+            improving = np.flatnonzero(z < -FEAS_TOL)
             if improving.size == 0:
                 return "optimal"
             enter = improving[0]
         else:
             enter = int(np.argmin(z))
-            if z[enter] >= -cfg.feas_tol:
+            if z[enter] >= -FEAS_TOL:
                 return "optimal"
 
         col = tab[:, enter]
-        usable = col > cfg.pivot_tol
+        usable = col > PIVOT_TOL
         if not np.any(usable):
             return "unbounded"
         ratios = np.full(m, np.inf)
         ratios[usable] = b[usable] / col[usable]
         best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + cfg.feas_tol)
+        tied = np.flatnonzero(ratios <= best + FEAS_TOL)
         if bland:
             leave = tied[np.argmin(basis[tied])]  # lowest variable index wins
         else:
-            # A pivot barely above pivot_tol is rounding noise; dividing its
+            # A pivot barely above PIVOT_TOL is rounding noise; dividing its
             # row by it wrecks the tableau.  Keep only comparably large
             # entries, then take the lowest variable index for determinism.
             entries = col[tied]
             strong = tied[entries >= 0.5 * entries.max()]
             leave = strong[np.argmin(basis[strong])]
 
-        if best <= cfg.feas_tol:
+        if best <= FEAS_TOL:
             degenerate += 1
             if degenerate >= _DEGENERATE_PIVOT_LIMIT:
                 bland = True
@@ -265,7 +257,7 @@ def _simplex(tab, b, c, basis, allowed, cfg, counter):
 class _PhaseOne:
     """Phase-1 state shared by solve_lp and check_feasible."""
 
-    def __init__(self, std, cfg):
+    def __init__(self, std):
         a, b = std.a, std.b
         m, n = a.shape
         counter = [0]
@@ -274,24 +266,22 @@ class _PhaseOne:
         # gets an artificial column.
         art_rows = np.flatnonzero((std.slack_col < 0) | (std.sign < 0))
         n_art = art_rows.size
-        tab = np.hstack([a, np.zeros((m, n_art))]).astype(float)
+        tab = np.hstack([a, np.zeros((m, n_art))])
         basis = std.slack_col.copy()
         tab[art_rows, n + np.arange(n_art)] = 1.0
         basis[art_rows] = n + np.arange(n_art)
-        rhs = b.astype(float).copy()
+        rhs = b.copy()
 
         c1 = np.zeros(n + n_art)
         c1[n:] = 1.0
-        # Artificials may not re-enter once they leave.
-        allowed = np.ones(n + n_art, dtype=bool)
-        status = _simplex(tab, rhs, c1, basis, allowed, cfg, counter)
+        status = _simplex(tab, rhs, c1, basis, counter)
         if status != "optimal":
             raise IterationLimitError("phase 1 lost boundedness: numerical failure")
 
-        self.std, self.cfg, self.counter = std, cfg, counter
+        self.counter = counter
         self.tab, self.rhs, self.basis = tab, rhs, basis
-        self.n_struct, self.n_art = n, n_art
-        self.infeasible = float(c1[basis] @ rhs) > cfg.feas_tol
+        self.n_struct = n
+        self.infeasible = float(c1[basis] @ rhs) > FEAS_TOL
         self.row_alive = np.ones(m, dtype=bool)
 
     def drive_out_artificials(self):
@@ -299,7 +289,7 @@ class _PhaseOne:
         for r in np.flatnonzero(self.basis >= n):
             row = self.tab[r, :n]
             enter = int(np.argmax(np.abs(row)))  # largest entry: stable pivot
-            if abs(row[enter]) <= self.cfg.pivot_tol:
+            if abs(row[enter]) <= PIVOT_TOL:
                 self.row_alive[r] = False  # redundant original row
                 continue
             _pivot(self.tab, self.rhs, self.basis, r, enter)
@@ -312,10 +302,10 @@ class _PhaseOne:
         return y
 
 
-def check_feasible(lp, cfg=DEFAULT_CONFIG):
+def check_feasible(lp):
     """Phase-1 only: report a feasible point or Infeasible."""
     std = _Standard(lp)
-    phase1 = _PhaseOne(std, cfg)
+    phase1 = _PhaseOne(std)
     if phase1.infeasible:
         return FeasibilityResult(False)
     return FeasibilityResult(True, std.point_from(phase1.structural_point()))
@@ -328,10 +318,10 @@ def _solve_or_lstsq(a, b):
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def solve_lp(lp, cfg=DEFAULT_CONFIG):
+def solve_lp(lp):
     """Classify the program and return an optimal basic solution if one exists."""
     std = _Standard(lp)
-    phase1 = _PhaseOne(std, cfg)
+    phase1 = _PhaseOne(std)
     if phase1.infeasible:
         return LpSolution(LpStatus.INFEASIBLE)
     phase1.drive_out_artificials()
@@ -339,7 +329,8 @@ def solve_lp(lp, cfg=DEFAULT_CONFIG):
     alive = phase1.row_alive
     rows = np.flatnonzero(alive)
     basis = phase1.basis[alive]
-    n = phase1.n_struct
+    n, counter = phase1.n_struct, phase1.counter
+    del phase1  # free the phase-1 tableau before phase 2 builds its own
     base = std.a[rows]
     # Fresh start for phase 2: rebuild the tableau from the original data so
     # drift accumulated during phase 1 cannot leak forward.  Artificial
@@ -351,8 +342,7 @@ def solve_lp(lp, cfg=DEFAULT_CONFIG):
         np.clip(rhs, 0.0, None, out=rhs)
     else:
         tab, rhs = np.zeros((0, n)), np.zeros(0)
-    allowed = np.ones(n, dtype=bool)
-    status = _simplex(tab, rhs, std.c, basis, allowed, cfg, phase1.counter)
+    status = _simplex(tab, rhs, std.c, basis, counter)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 

@@ -7,17 +7,24 @@ immutable and pure.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import DEFAULT_CONFIG, LinearProgram, LpStatus, check_feasible, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, check_feasible, solve_lp
 
 # Coordinate distance under which two vertices count as the same point.
 VERTEX_DEDUP_TOL = 1e-7
 
 # Guard for exact vertex enumeration; beyond this the row-subset count explodes.
 MAX_ENUMERATION_DIM = 8
+
+
+def _require_finite(**fields):
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,14 +53,17 @@ class HPolytope:
         if a.shape != (b.size, self.horizon + self.n_aux):
             raise ValueError(f"constraint matrix {a.shape} does not match "
                              f"{b.size} rows x {self.horizon}+{self.n_aux} columns")
+        _require_finite(a=a, b=b)
         periods = self.aux_periods
         if periods is not None:
             periods = tuple(periods)
             if len(periods) != self.n_aux:
                 raise ValueError("aux_periods must have one entry per aux column")
             for p in periods:
-                if p is not None and not 1 <= p <= self.horizon:
-                    raise ValueError(f"aux period {p} outside 1..{self.horizon}")
+                if p is not None and not (isinstance(p, (int, np.integer))
+                                          and 1 <= p <= self.horizon):
+                    raise ValueError(f"aux period {p!r} is not an integer in "
+                                     f"1..{self.horizon}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "aux_periods", periods)
@@ -73,6 +83,7 @@ class VPolytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.size == 0:
             raise ValueError("a V-polytope needs at least one point")
+        _require_finite(vertices=v)
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -94,6 +105,7 @@ class BatterySpec:
     horizon: int = 1
 
     def __post_init__(self):
+        _require_finite(capacity=self.capacity, rate=self.rate, soc=self.soc)
         if self.capacity <= 0 or self.rate <= 0:
             raise ValueError("capacity and rate must be positive")
         if not 0.0 <= self.soc <= 1.0:
@@ -201,15 +213,15 @@ def scale(p, alpha):
     return HPolytope(p.a, alpha * p.b, p.horizon, p.n_aux, p.aux_periods)
 
 
-def _dedup(points, tol=VERTEX_DEDUP_TOL):
+def _dedup(points):
     kept = []
     for x in points:
-        if not any(np.max(np.abs(x - y)) <= tol for y in kept):
+        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in kept):
             kept.append(x)
     return np.array(kept)
 
 
-def hrep_to_vrep(p, cfg=DEFAULT_CONFIG):
+def hrep_to_vrep(p):
     """Exact vertex enumeration over all row subsets (small dimensions only)."""
     if p.n_aux != 0:
         raise ValueError("vertex enumeration needs an unlifted polytope")
@@ -228,7 +240,7 @@ def hrep_to_vrep(p, cfg=DEFAULT_CONFIG):
             continue
         if np.max(np.abs(sub @ x - b[list(idx)])) > 1e-8:
             continue  # near-singular basis, solution untrustworthy
-        if np.all(a @ x <= b + cfg.feas_tol):
+        if np.all(a @ x <= b + FEAS_TOL):
             found.append(x)
     if not found:
         raise ValueError("no vertices found: polytope is empty or degenerate")
@@ -237,7 +249,7 @@ def hrep_to_vrep(p, cfg=DEFAULT_CONFIG):
     return VPolytope(verts[order])
 
 
-def contains_point(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):
+def contains_point(p, x, delta=1.0, center=None):
     """Membership of x in the delta-inflation of p about center.
 
     Inflation follows the rhs-scaling convention (delta * b for H-reps,
@@ -257,14 +269,14 @@ def contains_point(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):
         a_out, a_aux = p.a[:, :horizon], p.a[:, horizon:]
         resid = delta * p.b - a_out @ shifted
         if p.n_aux == 0:
-            return bool(np.all(resid >= -cfg.feas_tol))
+            return bool(np.all(resid >= -FEAS_TOL))
         probe = LinearProgram(c=np.zeros(p.n_aux), a_le=a_aux, b_le=resid)
-        return check_feasible(probe, cfg).feasible
+        return check_feasible(probe).feasible
 
-    return convex_coefficients(p, x, delta, c, cfg) is not None
+    return convex_coefficients(p, x, delta, c) is not None
 
 
-def convex_coefficients(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):
+def convex_coefficients(p, x, delta=1.0, center=None):
     """The weights certifying V-rep membership, or None when outside."""
     verts = p.vertices
     k = verts.shape[0]
@@ -272,11 +284,11 @@ def convex_coefficients(p, x, delta=1.0, center=None, cfg=DEFAULT_CONFIG):
     a_eq = np.vstack([delta * (verts - c).T, np.ones((1, k))])
     b_eq = np.concatenate([x - c, [1.0]])
     probe = LinearProgram(c=np.zeros(k), a_eq=a_eq, b_eq=b_eq, lower=np.zeros(k))
-    res = check_feasible(probe, cfg)
+    res = check_feasible(probe)
     return res.point if res.feasible else None
 
 
-def extreme_points(v, cfg=DEFAULT_CONFIG):
+def extreme_points(v):
     """Drop every point lying in the hull of the others.
 
     Purely an economy measure for downstream LPs; the hull is unchanged.
@@ -286,7 +298,7 @@ def extreme_points(v, cfg=DEFAULT_CONFIG):
     i = 0
     while i < len(keep):
         others = [keep[j] for j in range(len(keep)) if j != i]
-        if others and contains_point(VPolytope(pts[others]), pts[keep[i]], cfg=cfg):
+        if others and contains_point(VPolytope(pts[others]), pts[keep[i]]):
             keep.pop(i)
         else:
             i += 1
@@ -318,7 +330,7 @@ def minkowski_candidate_vertices(vs):
     return VPolytope(verts[order])
 
 
-def interiority_margin(p, cfg=DEFAULT_CONFIG):
+def interiority_margin(p):
     """Largest eps with a @ [0; w] + eps <= b for some w.
 
     Positive means the origin is interior to the output projection; zero
@@ -330,7 +342,7 @@ def interiority_margin(p, cfg=DEFAULT_CONFIG):
     a_le = np.hstack([a_aux, np.ones((m, 1))])
     lp = LinearProgram(c=np.concatenate([np.zeros(p.n_aux), [-1.0]]),
                        a_le=a_le, b_le=p.b)
-    sol = solve_lp(lp, cfg)
+    sol = solve_lp(lp)
     if sol.status is LpStatus.UNBOUNDED:
         return np.inf
     if sol.status is not LpStatus.OPTIMAL:
@@ -338,14 +350,14 @@ def interiority_margin(p, cfg=DEFAULT_CONFIG):
     return float(-sol.objective_value)
 
 
-def is_bounded(p, cfg=DEFAULT_CONFIG):
+def is_bounded(p):
     """Maximize each signed output coordinate; all must come back Optimal."""
     n = p.horizon + p.n_aux
     for t in range(p.horizon):
         for sign in (1.0, -1.0):
             c = np.zeros(n)
             c[t] = sign
-            sol = solve_lp(LinearProgram(c=c, a_le=p.a, b_le=p.b), cfg)
+            sol = solve_lp(LinearProgram(c=c, a_le=p.a, b_le=p.b))
             if sol.status is LpStatus.UNBOUNDED:
                 return False
             if sol.status is LpStatus.INFEASIBLE:
@@ -363,17 +375,61 @@ def polytope_to_json(p):
     return {"vrep": {"vertices": p.vertices.tolist()}}
 
 
-def polytope_from_json(obj, cfg=DEFAULT_CONFIG, check_bounded=True):
-    if "hrep" in obj:
-        body = obj["hrep"]
-        p = HPolytope(np.array(body["A"], dtype=float),
-                      np.array(body["b"], dtype=float),
-                      horizon=int(body["horizon"]),
-                      n_aux=int(body.get("aux", 0)),
-                      aux_periods=body.get("aux_periods"))
-        if check_bounded and not is_bounded(p, cfg):
+_REQUIRED = object()
+
+
+def _field(obj, key, default=_REQUIRED):
+    """obj[key] of parsed JSON; a ValueError names the key at fault."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise ValueError(f"missing '{key}'")
+    return default
+
+
+def _number(obj, key, default=_REQUIRED, kind=float):
+    """_field converted by kind; an absent optional key gives the default as is."""
+    value = _field(obj, key, default)
+    if key not in obj:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"'{key}' must be a number, got {value!r}") from None
+
+
+def _floats(obj, key):
+    value = _field(obj, key)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"'{key}' must be a numeric array") from None
+
+
+@contextmanager
+def _at(path):
+    """Prefix a ValueError raised inside with the JSON path it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def polytope_from_json(obj):
+    body = _field(obj, "hrep", None)
+    if body is not None:
+        with _at("hrep"):
+            p = HPolytope(_floats(body, "A"), _floats(body, "b"),
+                          horizon=_number(body, "horizon", kind=int),
+                          n_aux=_number(body, "aux", 0, int),
+                          aux_periods=_field(body, "aux_periods", None))
+        if not is_bounded(p):
             raise ValueError("H-polytope is unbounded in an output coordinate")
         return p
-    if "vrep" in obj:
-        return VPolytope(np.array(obj["vrep"]["vertices"], dtype=float))
+    body = _field(obj, "vrep", None)
+    if body is not None:
+        with _at("vrep"):
+            return VPolytope(_floats(body, "vertices"))
     raise ValueError("polytope JSON needs an 'hrep' or 'vrep' key")

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import DEFAULT_CONFIG, LinearProgram, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .polytope import (
     BatchJob,
     BatterySpec,
     HPolytope,
     VPolytope,
+    _at,
+    _field,
+    _number,
     batch_workload_set,
     battery_set,
     extreme_points,
@@ -42,6 +45,8 @@ class Resource:
     scalable: bool = True
 
     def __post_init__(self):
+        if not np.isfinite(self.price):
+            raise ValueError("price must be finite")
         if self.price < 0:
             raise ValueError("price must be nonnegative")
 
@@ -180,12 +185,12 @@ def _private_nodes(verts):
     return np.arange(k * t).reshape(k, t)
 
 
-def _solve_policy(inst, what, readout, n_theta, trajectory, links, cfg, **bounds):
+def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
     """Cheapest procurement within a policy class: alpha is priced and the
     non-scalable resources add their fixed price."""
     lp, cols = _coverage_lp(inst.resources, _private_nodes(inst.demand.vertices),
                             n_theta, trajectory, links, **bounds)
-    sol = solve_lp(lp, cfg)
+    sol = solve_lp(lp)
     if sol.status is LpStatus.INFEASIBLE:
         return _infeasible()
     if sol.status is not LpStatus.OPTIMAL:
@@ -206,7 +211,7 @@ def _place(block, n_theta, at=0):
     return m
 
 
-def solve_oracle(inst, cfg=DEFAULT_CONFIG):
+def solve_oracle(inst):
     """Minimum cost when each demand vertex may be factorized independently.
 
     The parameters are a free trajectory per resource per demand vertex
@@ -223,22 +228,22 @@ def solve_oracle(inst, cfg=DEFAULT_CONFIG):
         return {"q": theta.reshape(n, k, t), "aux": [x[a] for a in cols.aux]}
 
     links = (np.tile(np.eye(k * t), (1, n)), verts.ravel())
-    return _solve_policy(inst, "oracle", readout, n * k * t, trajectory, links, cfg)
+    return _solve_policy(inst, "oracle", readout, n * k * t, trajectory, links)
 
 
-def _max_proportion(p, verts, cfg):
+def _max_proportion(p, verts):
     """Largest beta in [0, 1] with beta * v_k inside the unit set for all k;
     None when no proportion works at all."""
     lp, _ = _coverage_lp([Resource(p, 0.0, False)], _private_nodes(verts), 1,
                          lambda i, kk: _place(verts[kk][:, None], 1), theta_cost=-1.0,
                          theta_lower=0.0, theta_upper=1.0)
-    sol = solve_lp(lp, cfg)
+    sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         return None
     return float(sol.point[0])
 
 
-def cover_scale(p, verts, cfg=DEFAULT_CONFIG):
+def cover_scale(p, verts):
     """k_i: the smallest alpha with every vertex inside alpha * S_i, or None."""
     verts = np.asarray(verts, dtype=float)
     if p.n_aux == 0 and np.all(p.b > 0):
@@ -248,13 +253,13 @@ def cover_scale(p, verts, cfg=DEFAULT_CONFIG):
     lp, cols = _coverage_lp([Resource(p, 1.0)], _private_nodes(verts), 1,
                             lambda i, kk: _place(verts[kk][:, None], 1),
                             theta_lower=1.0, theta_upper=1.0)
-    sol = solve_lp(lp, cfg)
+    sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         return None
     return float(sol.point[cols.alpha[0]])
 
 
-def proportional_bound(inst, cfg=DEFAULT_CONFIG):
+def proportional_bound(inst):
     """Fixed-proportion policy cost: non-scalables take their largest workable
     proportions; one scalable resource (cheapest by virtual price k_i p_i)
     absorbs the remainder."""
@@ -267,7 +272,7 @@ def proportional_bound(inst, cfg=DEFAULT_CONFIG):
     alphas = np.zeros(n)
     beta_bar = {}
     for i in non_idx:
-        bb = _max_proportion(inst.resources[i].set, verts, cfg)
+        bb = _max_proportion(inst.resources[i].set, verts)
         if bb is None:
             return _infeasible()  # no fixed proportion keeps this resource feasible
         beta_bar[i] = bb
@@ -276,7 +281,7 @@ def proportional_bound(inst, cfg=DEFAULT_CONFIG):
     non_cost = sum(inst.resources[i].price for i in non_idx)
 
     if non_idx and total_bar >= 1.0:
-        joint = _joint_proportions(inst, non_idx, verts, cfg)
+        joint = _joint_proportions(inst, non_idx, verts)
         if joint is None:
             return _infeasible()
         for i, bi in zip(non_idx, joint):
@@ -291,7 +296,7 @@ def proportional_bound(inst, cfg=DEFAULT_CONFIG):
     virtual = {}
     candidates = []
     for i in sc_idx:
-        ki = cover_scale(inst.resources[i].set, verts, cfg)
+        ki = cover_scale(inst.resources[i].set, verts)
         if ki is None:
             continue  # cannot cover the demand at any scale; out of the pool
         virtual[i] = ki * inst.resources[i].price
@@ -306,20 +311,20 @@ def proportional_bound(inst, cfg=DEFAULT_CONFIG):
                              {"beta": beta, "virtual_prices": virtual})
 
 
-def _joint_proportions(inst, non_idx, verts, cfg):
+def _joint_proportions(inst, non_idx, verts):
     """Proportions for non-scalables alone: sum to one, each feasible."""
     nn = len(non_idx)
     lp, _ = _coverage_lp([inst.resources[i] for i in non_idx], _private_nodes(verts),
                          nn, lambda j, kk: _place(verts[kk][:, None], nn, j),
                          links=(np.ones((1, nn)), [1.0]), theta_lower=0.0,
                          theta_upper=1.0)
-    sol = solve_lp(lp, cfg)
+    sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         return None
     return [float(b) for b in sol.point[:nn]]
 
 
-def tv_proportional_bound(inst, cfg=DEFAULT_CONFIG):
+def tv_proportional_bound(inst):
     """Time-varying proportions: beta_i^t >= 0 summing to one per period."""
     verts = inst.demand.vertices
     t = inst.horizon
@@ -331,10 +336,10 @@ def tv_proportional_bound(inst, cfg=DEFAULT_CONFIG):
     links = (np.tile(np.eye(t), (1, n)), np.ones(t))
     return _solve_policy(inst, "time-varying proportion",
                          lambda theta, x, cols: {"beta": theta.reshape(n, t)},
-                         n * t, trajectory, links, cfg, theta_lower=0.0)
+                         n * t, trajectory, links, theta_lower=0.0)
 
 
-def affine_bound(inst, cfg=DEFAULT_CONFIG):
+def affine_bound(inst):
     """Causal-affine policies phi_i(e) = F_i e + D_i with lower-triangular F_i,
     sum F_i = I and sum D_i = 0; cost of the cheapest feasible policy.
 
@@ -363,10 +368,10 @@ def affine_bound(inst, cfg=DEFAULT_CONFIG):
     a_link[ntri:, n * ntri:] = np.tile(np.eye(t), (1, n))
     b_link = np.concatenate([(tri_r == tri_c).astype(float), np.zeros(t)])
     return _solve_policy(inst, "affine policy", readout, n * (ntri + t),
-                         trajectory, (a_link, b_link), cfg)
+                         trajectory, (a_link, b_link))
 
 
-def battery_exact_procurement(batteries, prices, cfg=DEFAULT_CONFIG):
+def battery_exact_procurement(batteries, prices):
     """The aggregate two-row LP whose value is the exact causal cost for
     battery fleets whose demand is the full Minkowski sum (long horizons).
 
@@ -393,7 +398,7 @@ def battery_exact_procurement(batteries, prices, cfg=DEFAULT_CONFIG):
     a_le = -np.vstack([rates, swing])
     b_le = -np.array([rates.sum(), caps.sum()])
     sol = solve_lp(LinearProgram(c=prices, a_le=a_le, b_le=b_le,
-                                 lower=np.zeros(len(batteries))), cfg)
+                                 lower=np.zeros(len(batteries))))
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError("aggregate battery LP failed to solve")
     return ProcurementResult(LpStatus.OPTIMAL, sol.point.copy(),
@@ -402,68 +407,95 @@ def battery_exact_procurement(batteries, prices, cfg=DEFAULT_CONFIG):
                               "energy_need": float(caps.sum())})
 
 
-def battery_exact_jss(batteries, prices, cfg=DEFAULT_CONFIG):
+def battery_exact_jss(batteries, prices):
     """Exact causal procurement cost for a battery fleet covering its own
     Minkowski sum, valid once the horizon is long enough for the adversarial
     charge/discharge cycles to fit (always true here for theta = 0 fleets
     with r_i <= C_i <= 2 r_i and horizon >= 2)."""
-    return battery_exact_procurement(batteries, prices, cfg).cost
+    return battery_exact_procurement(batteries, prices).cost
 
 
 def price_of_causality(jstar, jss):
     """Cost premium of causal allocation: jss / jstar."""
-    if jstar <= DEFAULT_CONFIG.feas_tol:
+    if jstar <= FEAS_TOL:
         raise ValueError("price of causality undefined for zero-cost instances")
     return jss / jstar
 
 
-def minkowski_demand(resources, cfg=DEFAULT_CONFIG):
+def minkowski_demand(resources):
     """Demand equal to the Minkowski sum of the resources' unit sets,
     reduced to its extreme points."""
-    hulls = [hrep_to_vrep(res.set, cfg) for res in resources]
-    return extreme_points(minkowski_candidate_vertices(hulls), cfg)
+    hulls = [hrep_to_vrep(res.set) for res in resources]
+    return extreme_points(minkowski_candidate_vertices(hulls))
 
 
-def resource_from_json(entry, horizon=None, cfg=DEFAULT_CONFIG):
+def _items(obj, key):
+    value = _field(obj, key)
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be an array, got {type(value).__name__}")
+    return value
+
+
+def resource_from_json(entry, horizon=None):
+    """One resource entry; a malformed one raises ValueError naming the key."""
+    price = _number(entry, "price")
     keys = [k for k in ("battery", "hrep", "instances", "jobs") if k in entry]
     if len(keys) != 1:
         raise ValueError("resource needs exactly one of battery/hrep/instances/jobs")
     kind = keys[0]
     if kind == "battery":
-        spec = entry["battery"]
-        p = battery_set(BatterySpec(spec["capacity"], spec["rate"],
-                                    spec.get("soc", 0.0),
-                                    spec.get("horizon", horizon)))
+        with _at("battery"):
+            spec = entry["battery"]
+            t = _number(spec, "horizon", horizon, int)
+            if t is None:
+                raise ValueError("needs a horizon here or at the top level")
+            p = battery_set(BatterySpec(_number(spec, "capacity"), _number(spec, "rate"),
+                                        _number(spec, "soc", 0.0), t))
     elif kind == "hrep":
-        p = polytope_from_json({"hrep": entry["hrep"]}, cfg)
+        p = polytope_from_json({"hrep": entry["hrep"]})
     elif kind == "instances":
         body = entry["instances"]
-        t = body.get("horizon", horizon) if isinstance(body, dict) else horizon
+        t = _number(body, "horizon", horizon, int) if isinstance(body, dict) else horizon
         if t is None:
             raise ValueError("instance resource needs a horizon")
-        p = instance_set(int(t))
+        p = instance_set(t)
     else:
         if horizon is None:
             raise ValueError("job-list resource needs a top-level horizon")
-        jobs = [BatchJob(j["arrival"], j["deadline"], j["work"]) for j in entry["jobs"]]
-        p = batch_workload_set(jobs, int(horizon))
-    return Resource(p, float(entry["price"]), bool(entry.get("scalable", True)))
+        jobs = []
+        for n, job in enumerate(_items(entry, "jobs")):
+            with _at(f"jobs[{n}]"):
+                jobs.append(BatchJob(_number(job, "arrival", kind=int),
+                                     _number(job, "deadline", kind=int),
+                                     _number(job, "work")))
+        p = batch_workload_set(jobs, horizon)
+    return Resource(p, price, bool(entry.get("scalable", True)))
 
 
-def resources_from_json(obj, cfg=DEFAULT_CONFIG):
+def resources_from_json(obj):
     """Just the resource list of an instance object; skips the demand."""
-    horizon = obj.get("horizon")
-    return tuple(resource_from_json(e, horizon, cfg) for e in obj["resources"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(obj).__name__}")
+    horizon = _number(obj, "horizon", None, int)
+    resources = []
+    for k, entry in enumerate(_items(obj, "resources")):
+        with _at(f"resources[{k}]"):
+            resources.append(resource_from_json(entry, horizon))
+    return tuple(resources)
 
 
-def instance_from_json(obj, cfg=DEFAULT_CONFIG):
-    """Instance schema: {"resources": [...], "demand": {...}, "horizon": T?}."""
-    resources = resources_from_json(obj, cfg)
-    demand_spec = obj["demand"]
-    if demand_spec.get("minkowski_of_resources"):
-        demand = minkowski_demand(resources, cfg)
-    elif "vrep" in demand_spec:
-        demand = polytope_from_json(demand_spec, cfg)
-    else:
-        raise ValueError("demand needs 'vrep' or 'minkowski_of_resources'")
+def instance_from_json(obj):
+    """Instance schema: {"resources": [...], "demand": {...}, "horizon": T?}.
+
+    A malformed object raises ValueError naming the path at fault.
+    """
+    resources = resources_from_json(obj)
+    demand_spec = _field(obj, "demand")
+    with _at("demand"):
+        if _field(demand_spec, "minkowski_of_resources", False):
+            demand = minkowski_demand(resources)
+        elif "vrep" in demand_spec:
+            demand = polytope_from_json(demand_spec)
+        else:
+            raise ValueError("needs 'vrep' or 'minkowski_of_resources'")
     return ProcurementInstance(resources, demand)

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyprocure
 from polyprocure.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -46,6 +51,29 @@ SWEEP_SPEC = {
 }
 
 
+# Malformed instance files: (what is wrong, instance, the error message's path).
+MALFORMED_INSTANCES = [
+    ("resource without price",
+     {**BATTERY_INSTANCE, "resources": [{"battery": {"capacity": 3, "rate": 1, "horizon": 3}},
+                                        BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: missing 'price'"),
+    ("battery without capacity",
+     {**BATTERY_INSTANCE, "resources": [BATTERY_INSTANCE["resources"][0],
+                                        {"battery": {"rate": 1, "horizon": 3}, "price": 1}]},
+     "resources[1]: battery: missing 'capacity'"),
+    ("top-level array", [BATTERY_INSTANCE], "instance must be a JSON object"),
+    ("resource as a string", {**BATTERY_INSTANCE, "resources": ["battery", "battery"]},
+     "resources[0]: expected an object"),
+    ("no demand", {"resources": BATTERY_INSTANCE["resources"]}, "missing 'demand'"),
+    ("aux period not an integer",
+     {**BATTERY_INSTANCE, "resources": [
+         {"hrep": {"A": [[1, 0, 0, 0]], "b": [1], "horizon": 3, "aux": 1,
+                   "aux_periods": ["x"]}, "price": 1},
+         BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: hrep: aux period 'x'"),
+]
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -58,7 +86,7 @@ class TestJstar:
         assert main(["jstar", path]) == EXIT_OK
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rep.command == "jstar"
-        assert rep.digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert rep.digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert rep.results["cost"] == pytest.approx(4.0, abs=1e-6)
         assert rep.results["alphas"] == pytest.approx([1.0, 1.0], abs=1e-6)
         assert rep.wall_time >= 0
@@ -92,6 +120,40 @@ class TestJstar:
 
     def test_missing_file(self, capsys):
         assert main(["jstar", "/nonexistent.json"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, instance, message", [
+        pytest.param(command, instance, message, id=f"{command}: {what}")
+        for command in ("jstar", "causal-check")
+        for what, instance, message in MALFORMED_INSTANCES
+        # causal-check reads only the resources of an instance
+        if not (command == "causal-check" and what == "no demand")
+    ])
+    def test_malformed_instance_exits_with_one_line(self, tmp_path, capsys, command,
+                                                    instance, message):
+        path = write_json(tmp_path, "inst.json", instance)
+        scen = tmp_path / "scen.csv"
+        scen.write_text("1,1,-2\n")
+        args = [path] if command == "jstar" else [path, str(scen), "--alpha", "1", "1"]
+        assert main([command, *args]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        path = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
+        # Run the package under test, whichever way it was found.
+        src = str(Path(polyprocure.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "polyprocure.cli", "jstar", path],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": pythonpath})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        rep = RunReport.from_json(proc.stdout)
+        assert rep.command == "jstar"
+        assert rep.results["cost"] == pytest.approx(4.0, abs=1e-6)
 
 
 class TestBounds:
@@ -264,6 +326,20 @@ class TestDemand:
         assert main(["demand", "build", str(path), "--train", "2"]) == EXIT_OK
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rep.results["n_train"] == 2
+
+    # --window used to be ignored on these: the curve printed as without it.
+    @pytest.mark.parametrize("text, window", [("a,b\n1,2\n3,4\n5,6\n7,8\n", "4"),
+                                              ("v\n1\n2\n3\n4\n5\n6\n7\n8\n", "-3")],
+                             ids=["multi-column data", "negative window"])
+    def test_window_that_would_be_ignored_rejected(self, tmp_path, capsys, text, window):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code = main(["demand", "coverage", str(path), "--T", "2", "--train", "3",
+                     "--window", window])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window" in captured.err
 
     def test_bad_train_split(self, tmp_path, capsys):
         path = self.raw_csv(tmp_path)

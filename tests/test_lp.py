@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyprocure.lp import (
-    DEFAULT_CONFIG,
+    FEAS_TOL,
     IterationLimitError,
     LinearProgram,
     LpStatus,
-    SolverConfig,
     check_feasible,
     solve_lp,
 )
@@ -80,7 +79,7 @@ def random_boxed_lp(rng, force_feasible=True):
     return LinearProgram(c=c, a_le=a_le, b_le=b_le, lower=lower, upper=upper, **kwargs)
 
 
-def assert_kkt(lp, sol, tol=10 * DEFAULT_CONFIG.feas_tol):
+def assert_kkt(lp, sol, tol=10 * FEAS_TOL):
     """Full optimality audit: primal/dual feasibility and complementary slackness."""
     x = sol.point
     assert np.all(np.abs(lp.a_eq @ x - lp.b_eq) <= tol)
@@ -161,21 +160,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinearProgram(c=[1.0, 2.0], a_le=[[1.0]], b_le=[1.0])
 
-    def test_config_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(feas_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-
-    def test_iteration_limit_raises(self):
+    def test_iteration_limit_raises(self, monkeypatch):
         lp = LinearProgram(
             c=[3.0, 1.0],
             a_le=[[-3.0, -1.0], [-3.0, -3.0]],
             b_le=[-4.0, -6.0],
             lower=[0.0, 0.0],
         )
+        monkeypatch.setattr("polyprocure.lp.MAX_ITERATIONS", 1)
         with pytest.raises(IterationLimitError):
-            solve_lp(lp, SolverConfig(max_iterations=1))
+            solve_lp(lp)
 
 
 class TestAgainstBruteForce:

@@ -72,6 +72,19 @@ class TestBuilders:
             BatterySpec(capacity=0, rate=1)
         with pytest.raises(ValueError):
             BatterySpec(capacity=1, rate=1, soc=1.5)
+        for field, value in [("capacity", np.nan), ("capacity", np.inf),
+                             ("rate", np.nan), ("soc", np.nan)]:
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                BatterySpec(**{"capacity": 1, "rate": 1, field: value})
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: HPolytope([[np.inf], [-1.0]], [1.0, 1.0], horizon=1), "a"),
+        (lambda: HPolytope([[1.0], [-1.0]], [1.0, np.nan], horizon=1), "b"),
+        (lambda: VPolytope([[0.0, np.nan]]), "vertices"),
+    ])
+    def test_polytope_data_must_be_finite(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make()
 
 
 class TestBatchWorkloads:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from polyprocure.lp import DEFAULT_CONFIG, LpStatus
+from polyprocure.lp import LpStatus
 from polyprocure.polytope import (
     BatchJob,
     BatterySpec,
@@ -116,6 +116,9 @@ class TestOracle:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             Resource(FAST, -1.0)
+        for price in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="price must be finite"):
+                Resource(FAST, price)
 
 
 class TestCoverScale:
