@@ -18,11 +18,9 @@ from .polytope import (
     extreme_points,
     hrep_to_vrep,
     instance_set,
-    interiority_margin,
     is_bounded,
     minkowski_candidate_vertices,
     polytope_from_json,
-    polytope_to_json,
     scale,
 )
 from .procurement import (
@@ -31,7 +29,6 @@ from .procurement import (
     ProcurementResult,
     Resource,
     affine_bound,
-    battery_exact_jss,
     battery_exact_procurement,
     cover_scale,
     instance_from_json,

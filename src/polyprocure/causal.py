@@ -350,7 +350,11 @@ def read_signals(path):
     (optional header row, one signal per row)."""
     if str(path).endswith(".json"):
         with open(path) as fh:
-            return np.atleast_2d(np.asarray(json.load(fh), dtype=float))
+            signals = json.load(fh)
+        try:
+            return np.atleast_2d(np.asarray(signals, dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path} must hold an array of numeric arrays") from None
     return _read_csv(path)
 
 

@@ -28,13 +28,14 @@ from .demandset import (
     window_average,
 )
 from .lp import IterationLimitError
-from .polytope import BatterySpec, battery_set
+from .polytope import BatterySpec, _at, _floats, _number, battery_set
 from .procurement import (
     PreconditionError,
     ProcurementInstance,
     Resource,
+    _items,
     affine_bound,
-    battery_exact_jss,
+    battery_exact_procurement,
     instance_from_json,
     minkowski_demand,
     price_of_causality,
@@ -170,19 +171,24 @@ def _parse_grid(spec):
 
 def cmd_poc_sweep(args):
     spec = _load_json(args.sweep)
-    try:
-        horizon = int(spec.get("horizon", 0)) or None
-        batteries = [BatterySpec(b["capacity"], b["rate"], b.get("soc", 0.0),
-                                 b.get("horizon", horizon))
-                     for b in spec["batteries"]]
-        prices = [float(p) for p in spec["prices"]]
-        kappa_index = int(spec["kappa_index"])
-        if not 0 <= kappa_index < len(prices):
-            raise UsageError("kappa_index out of range")
-        if len(prices) != len(batteries):
-            raise UsageError("one price per battery required")
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"bad sweep spec: {exc}")
+    if not isinstance(spec, dict):
+        raise UsageError(f"sweep spec must be a JSON object, got {type(spec).__name__}")
+    horizon = _number(spec, "horizon", 0, int) or None
+    batteries = []
+    for k, entry in enumerate(_items(spec, "batteries")):
+        with _at(f"batteries[{k}]"):
+            t = _number(entry, "horizon", horizon, int)
+            if t is None:
+                raise ValueError("needs a horizon here or at the top level")
+            batteries.append(BatterySpec(_number(entry, "capacity"), _number(entry, "rate"),
+                                         _number(entry, "soc", 0.0), t))
+    prices = _floats(spec, "prices")
+    if prices.shape != (len(batteries),):
+        raise UsageError("one price per battery required")
+    prices = prices.tolist()
+    kappa_index = _number(spec, "kappa_index", kind=int)
+    if not 0 <= kappa_index < len(prices):
+        raise UsageError("kappa_index out of range")
 
     kappas = _parse_grid(args.kappa)
     base = [Resource(battery_set(b), p) for b, p in zip(batteries, prices)]
@@ -197,7 +203,7 @@ def cmd_poc_sweep(args):
         if not jstar.feasible:
             raise PreconditionError("demand equals the fleet sum; the oracle "
                                     "stage cannot be infeasible")
-        jss = battery_exact_jss(batteries, swept)
+        jss = battery_exact_procurement(batteries, swept).cost
         try:
             poc = f"{price_of_causality(jstar.cost, jss):.12g}"
         except ValueError:

@@ -3,10 +3,12 @@
 Everything is float64 and the pivoting rules are fixed (Dantzig entering
 with lowest-index tie-breaks, leaving rows picked for pivot size among
 minimal ratios, Bland's rule after a run of degenerate pivots), so a given
-program solves to bit-identical results every time.  The tableau is rebuilt
-from the original data at the phase boundary and the returned point and
-duals are recomputed from the final basis, so rank-1 update drift never
-reaches the caller.  Sized for desk-scale problems; no sparsity.
+program solves to bit-identical results every time.  Each phase pivots one
+dense array in place: phase 1 the standard form laid out as
+[A | artificials | b], phase 2 [B^-1 A | B^-1 b] rebuilt from the original
+data at the phase boundary.  The returned point is recomputed from the
+final basis, so rank-1 update drift never reaches the caller.  Sized for
+desk-scale problems; no sparsity.
 """
 
 import enum
@@ -94,10 +96,6 @@ class LpSolution:
     status: LpStatus
     point: np.ndarray = None
     objective_value: float = None
-    # Duals for the original eq/le rows, populated on Optimal; sign convention:
-    # c + a_eq' dual_eq + a_le' dual_le reduces to the bound multipliers.
-    dual_eq: np.ndarray = None
-    dual_le: np.ndarray = None
 
 
 @dataclass
@@ -107,8 +105,13 @@ class FeasibilityResult:
 
 
 class _Standard:
-    """The program rewritten as min c.y, a y = b, y >= 0, with the bookkeeping
-    needed to map points and row duals back to the original variables."""
+    """The program rewritten as min c.y, a y = b, y >= 0 with b >= 0, built
+    directly as the phase-1 tableau [a | artificials | b], with the
+    bookkeeping needed to map points back to the original variables.
+
+    In the starting basis, equality rows and rows whose rhs was negated sit
+    on an artificial column; the other inequality rows sit on their slack.
+    """
 
     def __init__(self, lp):
         n = lp.n_vars
@@ -119,7 +122,7 @@ class _Standard:
         plus = np.full(n, -1)
         minus = np.full(n, -1)
         offset = np.zeros(n)
-        ub_rows = []  # (column index, width)
+        ub_cols, ub_widths = [], []
         ncol = 0
         for j in range(n):
             if np.isfinite(lo[j]):
@@ -127,7 +130,8 @@ class _Standard:
                 plus[j] = ncol
                 ncol += 1
                 if np.isfinite(up[j]):
-                    ub_rows.append((plus[j], up[j] - lo[j]))
+                    ub_cols.append(plus[j])
+                    ub_widths.append(up[j] - lo[j])
             elif np.isfinite(up[j]):
                 offset[j] = up[j]
                 minus[j] = ncol
@@ -137,43 +141,35 @@ class _Standard:
                 minus[j] = ncol + 1
                 ncol += 2
 
-        m_eq, m_le, m_ub = lp.b_eq.size, lp.b_le.size, len(ub_rows)
-        m = m_eq + m_le + m_ub
-        base = np.vstack([lp.a_eq, lp.a_le]) if m_eq + m_le else np.zeros((0, n))
+        m_eq, m_orig = lp.b_eq.size, lp.b_eq.size + lp.b_le.size
+        m = m_orig + len(ub_cols)
+        base = np.vstack([lp.a_eq, lp.a_le]) if m_orig else np.zeros((0, n))
+        b = np.concatenate([lp.b_eq, lp.b_le, ub_widths])
+        b[:m_orig] -= base @ offset
+        neg = b < 0
+        art_rows = np.flatnonzero((np.arange(m) < m_eq) | neg)
+        # Every inequality row (le and ub alike) gets a slack column.
+        slack_cols = ncol + np.arange(m - m_eq)
+        self.n_struct = ncol + slack_cols.size
+
         has_plus, has_minus = plus >= 0, minus >= 0
         self.plus, self.minus, self.offset = plus, minus, offset
         self.has_plus, self.has_minus = has_plus, has_minus
-        a_x = np.zeros((m, ncol))
-        a_x[:m_eq + m_le, plus[has_plus]] = base[:, has_plus]
-        a_x[:m_eq + m_le, minus[has_minus]] = -base[:, has_minus]
-        b = np.concatenate([lp.b_eq, lp.b_le, np.zeros(m_ub)])
-        b[:m_eq + m_le] -= base @ offset
-        for r, (col, width) in enumerate(ub_rows):
-            a_x[m_eq + m_le + r, col] = 1.0
-            b[m_eq + m_le + r] = width
+        tab = np.zeros((m, self.n_struct + art_rows.size + 1))
+        tab[:m_orig, plus[has_plus]] = base[:, has_plus]
+        tab[:m_orig, minus[has_minus]] = -base[:, has_minus]
+        tab[np.arange(m_orig, m), np.array(ub_cols, dtype=int)] = 1.0
+        tab[np.arange(m_eq, m), slack_cols] = 1.0
+        tab[:, -1] = b
+        np.negative(tab, out=tab, where=neg[:, None])  # nonnegative rhs
+        self.basis = np.concatenate([np.full(m_eq, -1), slack_cols])
+        self.basis[art_rows] = self.n_struct + np.arange(art_rows.size)
+        tab[art_rows, self.basis[art_rows]] = 1.0
 
-        # Slack columns for every inequality row (le and ub alike).
-        n_slack = m_le + m_ub
-        slack_col = np.full(m, -1)
-        slack_col[m_eq:] = ncol + np.arange(n_slack)
-        a = np.hstack([a_x, np.zeros((m, n_slack))])
-        a[np.arange(m_eq, m), slack_col[m_eq:]] = 1.0
-
-        # Nonnegative rhs; remember the sign to restore duals later.
-        sign = np.ones(m)
-        neg = b < 0
-        a[neg] *= -1.0
-        b[neg] *= -1.0
-        sign[neg] = -1.0
-
-        c_std = np.zeros(ncol + n_slack)
+        c_std = np.zeros(self.n_struct)
         c_std[plus[has_plus]] += lp.c[has_plus]
         c_std[minus[has_minus]] -= lp.c[has_minus]
-
-        self.a, self.b, self.c = a, b, c_std
-        self.sign = sign
-        self.slack_col = slack_col
-        self.m_eq, self.m_le = m_eq, m_le
+        self.tab, self.c = tab, c_std
 
     def point_from(self, y):
         x = self.offset.copy()
@@ -182,32 +178,35 @@ class _Standard:
         return x
 
 
-def _pivot(tab, b, basis, leave, enter):
-    """Bring column `enter` into the basis at row `leave`, in place."""
+def _pivot(tab, basis, leave, enter):
+    """Bring column `enter` into the basis at row `leave`, in place.
+
+    The last column of tab is the rhs; it is updated with the row and kept
+    nonnegative.
+    """
     pivot = tab[leave, enter]
     tab[leave] /= pivot
-    b[leave] /= pivot
     other = tab[:, enter].copy()
     other[leave] = 0.0
     row = tab[leave].copy()
     step = max(1, _UPDATE_BLOCK_BYTES // row.nbytes)
     for lo in range(0, tab.shape[0], step):
         tab[lo:lo + step] -= np.outer(other[lo:lo + step], row)
-    b -= other * b[leave]
     tab[:, enter] = 0.0
     tab[leave, enter] = 1.0
-    np.clip(b, 0.0, None, out=b)
+    np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
     basis[leave] = enter
 
 
-def _simplex(tab, b, c, basis, counter):
+def _simplex(tab, c, basis, counter):
     """Run phase iterations on the current tableau in place.
 
-    tab is B^-1 A for the full column set; b is B^-1 rhs; basis maps rows to
-    column indices.  Returns "optimal" or "unbounded".  counter is a
-    one-element iteration budget.
+    tab is [B^-1 A | B^-1 rhs] for the full column set; c prices every column
+    but the rhs; basis maps rows to column indices.  Returns "optimal" or
+    "unbounded".  counter is a one-element iteration budget.
     """
-    m = b.size
+    m = tab.shape[0]
+    rhs = tab[:, -1]
     bland = False
     degenerate = 0
     while True:
@@ -215,7 +214,7 @@ def _simplex(tab, b, c, basis, counter):
             raise IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} pivots")
         counter[0] += 1
 
-        z = c - c[basis] @ tab if m else c.astype(float)
+        z = c - c[basis] @ tab[:, :-1]
         if bland:
             improving = np.flatnonzero(z < -FEAS_TOL)
             if improving.size == 0:
@@ -231,7 +230,7 @@ def _simplex(tab, b, c, basis, counter):
         if not np.any(usable):
             return "unbounded"
         ratios = np.full(m, np.inf)
-        ratios[usable] = b[usable] / col[usable]
+        ratios[usable] = rhs[usable] / col[usable]
         best = ratios.min()
         tied = np.flatnonzero(ratios <= best + FEAS_TOL)
         if bland:
@@ -251,38 +250,27 @@ def _simplex(tab, b, c, basis, counter):
         else:
             degenerate = 0
 
-        _pivot(tab, b, basis, leave, enter)
+        _pivot(tab, basis, leave, enter)
 
 
 class _PhaseOne:
-    """Phase-1 state shared by solve_lp and check_feasible."""
+    """Phase 1, run in place on the standard form's tableau; shared by
+    solve_lp and check_feasible."""
 
     def __init__(self, std):
-        a, b = std.a, std.b
-        m, n = a.shape
+        tab, basis, n = std.tab, std.basis, std.n_struct
         counter = [0]
-
-        # Unflipped inequality rows start on their slack; everything else
-        # gets an artificial column.
-        art_rows = np.flatnonzero((std.slack_col < 0) | (std.sign < 0))
-        n_art = art_rows.size
-        tab = np.hstack([a, np.zeros((m, n_art))])
-        basis = std.slack_col.copy()
-        tab[art_rows, n + np.arange(n_art)] = 1.0
-        basis[art_rows] = n + np.arange(n_art)
-        rhs = b.copy()
-
-        c1 = np.zeros(n + n_art)
+        c1 = np.zeros(tab.shape[1] - 1)
         c1[n:] = 1.0
-        status = _simplex(tab, rhs, c1, basis, counter)
+        status = _simplex(tab, c1, basis, counter)
         if status != "optimal":
             raise IterationLimitError("phase 1 lost boundedness: numerical failure")
 
         self.counter = counter
-        self.tab, self.rhs, self.basis = tab, rhs, basis
+        self.tab, self.basis = tab, basis
         self.n_struct = n
-        self.infeasible = float(c1[basis] @ rhs) > FEAS_TOL
-        self.row_alive = np.ones(m, dtype=bool)
+        self.infeasible = float(c1[basis] @ tab[:, -1]) > FEAS_TOL
+        self.row_alive = np.ones(tab.shape[0], dtype=bool)
 
     def drive_out_artificials(self):
         n = self.n_struct
@@ -292,13 +280,12 @@ class _PhaseOne:
             if abs(row[enter]) <= PIVOT_TOL:
                 self.row_alive[r] = False  # redundant original row
                 continue
-            _pivot(self.tab, self.rhs, self.basis, r, enter)
+            _pivot(self.tab, self.basis, r, enter)
 
     def structural_point(self):
         y = np.zeros(self.n_struct)
-        live = self.row_alive
-        struct = live & (self.basis < self.n_struct)
-        y[self.basis[struct]] = self.rhs[struct]
+        struct = self.row_alive & (self.basis < self.n_struct)
+        y[self.basis[struct]] = self.tab[struct, -1]
         return y
 
 
@@ -321,42 +308,30 @@ def _solve_or_lstsq(a, b):
 def solve_lp(lp):
     """Classify the program and return an optimal basic solution if one exists."""
     std = _Standard(lp)
+    original = std.tab[:, np.r_[:std.n_struct, -1]]  # [a | b], before phase 1 pivots it
     phase1 = _PhaseOne(std)
     if phase1.infeasible:
         return LpSolution(LpStatus.INFEASIBLE)
     phase1.drive_out_artificials()
 
-    alive = phase1.row_alive
-    rows = np.flatnonzero(alive)
-    basis = phase1.basis[alive]
-    n, counter = phase1.n_struct, phase1.counter
-    del phase1  # free the phase-1 tableau before phase 2 builds its own
-    base = std.a[rows]
+    rows = np.flatnonzero(phase1.row_alive)
+    basis = phase1.basis[rows]
+    counter = phase1.counter
+    del phase1, std.tab  # free the phase-1 tableau before phase 2 builds its own
     # Fresh start for phase 2: rebuild the tableau from the original data so
     # drift accumulated during phase 1 cannot leak forward.  Artificial
-    # columns are gone for good after the drive-out, so drop them here.
-    if rows.size:
-        ref = _solve_or_lstsq(base[:, basis],
-                              np.column_stack([base, std.b[rows]]))
-        tab, rhs = np.ascontiguousarray(ref[:, :-1]), ref[:, -1]
-        np.clip(rhs, 0.0, None, out=rhs)
-    else:
-        tab, rhs = np.zeros((0, n)), np.zeros(0)
-    status = _simplex(tab, rhs, std.c, basis, counter)
-    if status == "unbounded":
+    # columns are gone for good after the drive-out, and redundant rows go
+    # with them.
+    original = original[rows]
+    tab = _solve_or_lstsq(original[:, basis], original)
+    np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
+    if _simplex(tab, std.c, basis, counter) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
     # Read the answer off the final basis and the original data, not the
     # pivoted tableau, so the returned point satisfies the constraints to
     # factorization accuracy.
-    y = np.zeros(n)
-    duals = np.zeros(std.b.size)
-    if rows.size:
-        y[basis] = np.maximum(_solve_or_lstsq(base[:, basis], std.b[rows]), 0.0)
-        duals[rows] = _solve_or_lstsq(base[:, basis].T, std.c[basis])
+    y = np.zeros(std.n_struct)
+    y[basis] = np.maximum(_solve_or_lstsq(original[:, basis], original[:, -1]), 0.0)
     x = std.point_from(y)
-    objective = float(lp.c @ x)
-    duals *= -std.sign  # undo the rhs sign flips; negate to the KKT convention
-    dual_eq = duals[:std.m_eq]
-    dual_le = duals[std.m_eq:std.m_eq + std.m_le]
-    return LpSolution(LpStatus.OPTIMAL, x, objective, dual_eq, dual_le)
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x))

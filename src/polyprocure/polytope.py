@@ -330,26 +330,6 @@ def minkowski_candidate_vertices(vs):
     return VPolytope(verts[order])
 
 
-def interiority_margin(p):
-    """Largest eps with a @ [0; w] + eps <= b for some w.
-
-    Positive means the origin is interior to the output projection; zero
-    means boundary; negative means the origin lies outside.  Recorded as a
-    diagnostic; nothing here enforces interiority.
-    """
-    a_aux = p.a[:, p.horizon:]
-    m = p.n_rows
-    a_le = np.hstack([a_aux, np.ones((m, 1))])
-    lp = LinearProgram(c=np.concatenate([np.zeros(p.n_aux), [-1.0]]),
-                       a_le=a_le, b_le=p.b)
-    sol = solve_lp(lp)
-    if sol.status is LpStatus.UNBOUNDED:
-        return np.inf
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("interiority probe did not solve")
-    return float(-sol.objective_value)
-
-
 def is_bounded(p):
     """Maximize each signed output coordinate; all must come back Optimal."""
     n = p.horizon + p.n_aux
@@ -363,16 +343,6 @@ def is_bounded(p):
             if sol.status is LpStatus.INFEASIBLE:
                 return True  # empty set: vacuously bounded
     return True
-
-
-def polytope_to_json(p):
-    if isinstance(p, HPolytope):
-        body = {"A": p.a.tolist(), "b": p.b.tolist(),
-                "horizon": p.horizon, "aux": p.n_aux}
-        if p.aux_periods is not None:
-            body["aux_periods"] = list(p.aux_periods)
-        return {"hrep": body}
-    return {"vrep": {"vertices": p.vertices.tolist()}}
 
 
 _REQUIRED = object()

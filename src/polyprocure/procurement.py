@@ -375,8 +375,10 @@ def battery_exact_procurement(batteries, prices):
     """The aggregate two-row LP whose value is the exact causal cost for
     battery fleets whose demand is the full Minkowski sum (long horizons).
 
-    Requires zero initial charge and sum C_i <= 2 sum r_i; the horizon-length
-    condition is the caller's responsibility (see battery_exact_jss docstring).
+    Requires zero initial charge and sum C_i <= 2 sum r_i.  The horizon must
+    also be long enough for the adversarial charge/discharge cycles to fit
+    (always true for fleets with r_i <= C_i <= 2 r_i and horizon >= 2); that
+    condition is the caller's responsibility.
     """
     batteries = list(batteries)
     prices = np.asarray(prices, dtype=float)
@@ -405,14 +407,6 @@ def battery_exact_procurement(batteries, prices):
                              float(sol.objective_value),
                              {"rate_need": float(rates.sum()),
                               "energy_need": float(caps.sum())})
-
-
-def battery_exact_jss(batteries, prices):
-    """Exact causal procurement cost for a battery fleet covering its own
-    Minkowski sum, valid once the horizon is long enough for the adversarial
-    charge/discharge cycles to fit (always true here for theta = 0 fleets
-    with r_i <= C_i <= 2 r_i and horizon >= 2)."""
-    return battery_exact_procurement(batteries, prices).cost
 
 
 def price_of_causality(jstar, jss):

@@ -214,6 +214,31 @@ class TestPocSweep:
         assert main(["poc-sweep", path, "--kappa", "1:1:1"]) == EXIT_PRECONDITION
 
 
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param([SWEEP_SPEC], "sweep spec must be a JSON object", id="top-level array"),
+        pytest.param({**SWEEP_SPEC, "batteries": {"capacity": 1, "rate": 1}},
+                     "'batteries' must be an array", id="batteries as an object"),
+        pytest.param({**SWEEP_SPEC, "batteries": [{"capacity": 1, "rate": 1}, {"rate": 1}]},
+                     "batteries[1]: missing 'capacity'", id="battery without capacity"),
+        pytest.param({**SWEEP_SPEC, "batteries": ["battery", "battery"]},
+                     "batteries[0]: expected an object", id="battery as a string"),
+        pytest.param({k: v for k, v in SWEEP_SPEC.items() if k != "horizon"},
+                     "batteries[0]: needs a horizon", id="no horizon"),
+        pytest.param({**SWEEP_SPEC, "prices": [1, {}]},
+                     "'prices' must be a numeric array", id="price as an object"),
+        pytest.param({**SWEEP_SPEC, "kappa_index": "x"},
+                     "'kappa_index' must be a number", id="kappa index not a number"),
+    ])
+    def test_malformed_spec_exits_with_one_line(self, tmp_path, capsys, spec, message):
+        path = write_json(tmp_path, "sweep.json", spec)
+        assert main(["poc-sweep", path, "--kappa", "1:2:1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_charged_battery_is_a_precondition_failure(self, tmp_path, capsys):
         # Nonzero initial charge once printed jss 1 below jstar 1.5 with exit 0.
         spec = {"horizon": 3,
@@ -253,10 +278,11 @@ class TestCausalCheck:
             assert sum(node["outputs"]) == pytest.approx(node["value"], abs=1e-7)
 
     @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
-                                      "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n"])
+                                      "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}"])
     def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
-        scen = tmp_path / "scen.csv"
+        # "{}" goes in a .json file: a JSON object where an array of signals belongs
+        scen = tmp_path / ("scen.json" if text == "{}" else "scen.csv")
         scen.write_text(text)
         code = main(["causal-check", inst, str(scen), "--alpha", "1", "1"])
         assert code == EXIT_USAGE

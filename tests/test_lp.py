@@ -1,12 +1,16 @@
-"""Solver checks: worked programs, brute-force cross-validation, KKT audits."""
+"""Solver checks: worked programs, brute-force and HiGHS cross-validation,
+memory budgets."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyprocure import causal, procurement
+from polyprocure.causal import build_scenario_tree, causal_feasibility
 from polyprocure.lp import (
     FEAS_TOL,
     IterationLimitError,
@@ -15,6 +19,8 @@ from polyprocure.lp import (
     check_feasible,
     solve_lp,
 )
+from polyprocure.polytope import BatterySpec, battery_set
+from polyprocure.procurement import Resource, instance_from_json
 
 
 def brute_force_minimum(lp, tol=1e-9):
@@ -79,25 +85,32 @@ def random_boxed_lp(rng, force_feasible=True):
     return LinearProgram(c=c, a_le=a_le, b_le=b_le, lower=lower, upper=upper, **kwargs)
 
 
-def assert_kkt(lp, sol, tol=10 * FEAS_TOL):
-    """Full optimality audit: primal/dual feasibility and complementary slackness."""
-    x = sol.point
+def assert_primal_feasible(lp, x, tol=10 * FEAS_TOL):
     assert np.all(np.abs(lp.a_eq @ x - lp.b_eq) <= tol)
-    slack = lp.b_le - lp.a_le @ x
-    assert np.all(slack >= -tol)
+    assert np.all(lp.b_le - lp.a_le @ x >= -tol)
     assert np.all(x >= lp.lower - tol) and np.all(x <= lp.upper + tol)
-    lam = sol.dual_le
-    assert np.all(lam >= -tol)
-    assert np.all(np.abs(lam * slack) <= tol * 100)
-    rc = lp.c + lp.a_eq.T @ sol.dual_eq + lp.a_le.T @ lam
-    scale = 1.0 + np.abs(lp.c).max()
-    for j in range(lp.n_vars):
-        at_lower = x[j] <= lp.lower[j] + tol * 100
-        at_upper = x[j] >= lp.upper[j] - tol * 100
-        if not at_lower:
-            assert rc[j] <= tol * scale, f"var {j}: rc={rc[j]} off lower bound"
-        if not at_upper:
-            assert rc[j] >= -tol * scale, f"var {j}: rc={rc[j]} off upper bound"
+
+
+def phase_one_tableau_bytes(lp):
+    """Bytes of the phase-1 tableau [A | artificials | b] of lp: one column
+    per bounded variable and two per free one, a row and a slack per <= row
+    and per doubly bounded variable, an artificial per equality row and per
+    <= row whose rhs is negative once the variables are shifted to 0."""
+    has_lo, has_up = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    offset = np.where(has_lo, lp.lower, np.where(has_up, lp.upper, 0.0))
+    m_eq, m_ineq = lp.b_eq.size, lp.b_le.size + np.count_nonzero(has_lo & has_up)
+    n_std = np.where(has_lo | has_up, 1, 2).sum() + m_ineq
+    n_art = m_eq + np.count_nonzero(lp.b_le - lp.a_le @ offset < 0)
+    return 8 * (m_eq + m_ineq) * (n_std + n_art + 1)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWorkedPrograms:
@@ -192,16 +205,6 @@ class TestAgainstBruteForce:
                 optima += 1
         assert optima >= 30 and infeasible >= 3  # the mix actually exercises both paths
 
-    def test_duality_audit_on_random_optima(self):
-        rng = np.random.default_rng(21)
-        audited = 0
-        while audited < 40:
-            lp = random_boxed_lp(rng)
-            sol = solve_lp(lp)
-            if sol.status is LpStatus.OPTIMAL:
-                assert_kkt(lp, sol)
-                audited += 1
-
     def test_phase_agreement(self):
         rng = np.random.default_rng(5)
         for _ in range(60):
@@ -209,6 +212,66 @@ class TestAgainstBruteForce:
             by_phase1 = check_feasible(lp).feasible
             by_solve = solve_lp(lp).status is not LpStatus.INFEASIBLE
             assert by_phase1 == by_solve
+
+
+class TestAgainstHighs:
+    def test_random_optima_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        status_of = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+        rng = np.random.default_rng(21)
+        compared = 0
+        while compared < 40:
+            lp = random_boxed_lp(rng)
+            sol = solve_lp(lp)
+            eq = {"A_eq": lp.a_eq, "b_eq": lp.b_eq} if lp.b_eq.size else {}
+            ref = linprog(lp.c, A_ub=lp.a_le, b_ub=lp.b_le, **eq,
+                          bounds=np.column_stack([lp.lower, lp.upper]), method="highs")
+            assert sol.status is status_of[ref.status]
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+                assert_primal_feasible(lp, sol.point)
+                compared += 1
+
+
+class TestMemory:
+    """Peak traced memory of a solve, in phase-1 tableaus of its LP.  The LPs
+    have the shapes of the benchmark's: a 1214 x 186 scenario-tree check and
+    a 704 x 194 oracle."""
+
+    @staticmethod
+    def captured_lp(module, name, run):
+        """The first LP that run() passes to module.name."""
+        seen = []
+        real = getattr(module, name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, lambda lp: seen.append(lp) or real(lp))
+            run()
+        return seen[0]
+
+    def test_tree_check_peak(self):
+        rng = np.random.default_rng(3)
+        # Three batteries, six periods, a binary branch in each of the first four.
+        values = rng.uniform(-0.6, 0.6, (6, 16))
+        signals = [[values[d, leaf >> max(0, 3 - d)] for d in range(6)] for leaf in range(16)]
+        resources = [Resource(battery_set(BatterySpec(c, r, s, 6)), 1.0)
+                     for c, r, s in ((2.2, 0.9, 0.5), (1.8, 0.8, 0.4), (2.6, 1.0, 0.6))]
+        lp = self.captured_lp(causal, "check_feasible", lambda: causal_feasibility(
+            build_scenario_tree(np.array(signals)), resources, [1.0, 1.0, 1.0]))
+        assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (1214, 186)
+        assert traced_peak(check_feasible, lp) <= 1.7 * phase_one_tableau_bytes(lp)
+
+    def test_oracle_solve_peak(self):
+        rng = np.random.default_rng(3)
+        inst = instance_from_json({"horizon": 8, "resources": [
+            {"battery": {"capacity": 3.0, "rate": 1.1, "soc": 0.5}, "price": 1.0},
+            {"instances": True, "price": 0.6},
+            {"battery": {"capacity": 1.5, "rate": 0.5, "soc": 0.5}, "price": 0.3,
+             "scalable": False}],
+            "demand": {"vrep": {"vertices": rng.uniform(-1, 1, (8, 8)).tolist()}}})
+        lp = self.captured_lp(procurement, "solve_lp",
+                              lambda: procurement.solve_oracle(inst))
+        assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (704, 194)
+        assert traced_peak(solve_lp, lp) <= 3.5 * phase_one_tableau_bytes(lp)
 
 
 class TestDeterminism:

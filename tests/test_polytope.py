@@ -17,11 +17,9 @@ from polyprocure.polytope import (
     extreme_points,
     hrep_to_vrep,
     instance_set,
-    interiority_margin,
     is_bounded,
     minkowski_candidate_vertices,
     polytope_from_json,
-    polytope_to_json,
     scale,
 )
 
@@ -300,17 +298,6 @@ class TestMembership:
 
 
 class TestDiagnostics:
-    def test_interior_battery_passes(self):
-        margin = interiority_margin(battery_set(BatterySpec(2, 1, 0.5, 3)))
-        assert margin > 0.1
-
-    def test_instance_set_origin_on_boundary(self):
-        assert abs(interiority_margin(instance_set(3))) <= 1e-9
-
-    def test_batch_set_origin_outside(self):
-        p = batch_workload_set([BatchJob(1, 4, 2)], horizon=4)
-        assert interiority_margin(p) < -0.1
-
     def test_builders_bounded(self):
         assert is_bounded(battery_set(BIG_BATTERY))
         assert is_bounded(batch_workload_set([BatchJob(1, 2, 1)], horizon=2))
@@ -322,16 +309,21 @@ class TestDiagnostics:
 
 class TestJson:
     def test_hrep_roundtrip(self):
+        # One unit of work due in periods 1..2, two period-annotated aux columns.
+        q = polytope_from_json({"hrep": {
+            "A": [[1, 0, 1, 0], [-1, 0, -1, 0], [0, 1, 0, 1], [0, -1, 0, -1],
+                  [0, 0, 1, 1], [0, 0, -1, -1], [0, 0, 1, 0], [0, 0, -1, 0],
+                  [0, 0, 0, 1], [0, 0, 0, -1]],
+            "b": [0, 0, 0, 0, 1, -1, 1, 0, 1, 0],
+            "horizon": 2, "aux": 2, "aux_periods": [1, 2]}})
         p = batch_workload_set([BatchJob(1, 2, 1)], horizon=2)
-        q = polytope_from_json(polytope_to_json(p))
         np.testing.assert_array_equal(q.a, p.a)
         np.testing.assert_array_equal(q.b, p.b)
         assert q.aux_periods == p.aux_periods
 
     def test_vrep_roundtrip(self):
-        v = VPolytope([[0, 1], [2, 3]])
-        q = polytope_from_json(polytope_to_json(v))
-        np.testing.assert_array_equal(q.vertices, v.vertices)
+        q = polytope_from_json({"vrep": {"vertices": [[0, 1], [2, 3]]}})
+        np.testing.assert_array_equal(q.vertices, VPolytope([[0, 1], [2, 3]]).vertices)
 
     def test_unbounded_json_rejected(self):
         with pytest.raises(ValueError):

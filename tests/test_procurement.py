@@ -21,7 +21,6 @@ from polyprocure.procurement import (
     ProcurementInstance,
     Resource,
     affine_bound,
-    battery_exact_jss,
     battery_exact_procurement,
     cover_scale,
     instance_from_json,
@@ -340,8 +339,8 @@ class TestSpecialCases:
 class TestBatteryExact:
     def test_worked_values(self):
         fleet = [BatterySpec(1, 1, 0, 3), BatterySpec(3, 1, 0, 3)]
-        assert battery_exact_jss(fleet, [1.0, 2.0]) == pytest.approx(4.0, abs=1e-9)
-        assert battery_exact_jss(fleet, [1.0, 1.5]) == pytest.approx(3.0, abs=1e-9)
+        assert battery_exact_procurement(fleet, [1.0, 2.0]).cost == pytest.approx(4.0, abs=1e-9)
+        assert battery_exact_procurement(fleet, [1.0, 1.5]).cost == pytest.approx(3.0, abs=1e-9)
 
     def test_result_carries_aggregates(self):
         fleet = [BatterySpec(1, 1, 0, 3), BatterySpec(3, 1, 0, 3)]
@@ -358,7 +357,7 @@ class TestBatteryExact:
 
     def test_precondition_rejects_slow_fleet(self):
         with pytest.raises(PreconditionError):
-            battery_exact_jss([BatterySpec(3, 1, 0, 3)], [1.0])
+            battery_exact_procurement([BatterySpec(3, 1, 0, 3)], [1.0])
 
     def test_dominates_oracle_on_minkowski_demand(self):
         for kappa in (0.5, 1.5, 2.0, 3.0):
@@ -367,14 +366,14 @@ class TestBatteryExact:
                          Resource(battery_set(b2), kappa))
             inst = ProcurementInstance(resources, minkowski_demand(resources))
             jstar = solve_oracle(inst).cost
-            jss = battery_exact_jss([b1, b2], [1.0, kappa])
+            jss = battery_exact_procurement([b1, b2], [1.0, kappa]).cost
             assert jstar == pytest.approx(min(1 + kappa, 2 * kappa), abs=1e-6)
             assert jss == pytest.approx(min(2 * kappa, 4.0), abs=1e-9)
             assert jss >= jstar - 1e-7
 
     def test_price_list_length(self):
         with pytest.raises(ValueError):
-            battery_exact_jss([BatterySpec(1, 1, 0, 2)], [1.0, 2.0])
+            battery_exact_procurement([BatterySpec(1, 1, 0, 2)], [1.0, 2.0])
 
 
 class TestPriceOfCausality:
