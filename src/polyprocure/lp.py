@@ -181,20 +181,25 @@ class _Standard:
 def _pivot(tab, basis, leave, enter):
     """Bring column `enter` into the basis at row `leave`, in place.
 
-    The last column of tab is the rhs; it is updated with the row and kept
-    nonnegative.
+    The update touches only the rows with a nonzero entry in column `enter`
+    and the columns with a nonzero entry in row `leave`: every other entry
+    would change by 0 * y.  The last column of tab is the rhs; it is updated
+    with the row and kept nonnegative.
     """
     pivot = tab[leave, enter]
     tab[leave] /= pivot
-    other = tab[:, enter].copy()
-    other[leave] = 0.0
-    row = tab[leave].copy()
+    rows = np.flatnonzero(tab[:, enter])
+    rows = rows[rows != leave]
+    cols = np.flatnonzero(tab[leave])
+    row = tab[leave, cols]
     step = max(1, _UPDATE_BLOCK_BYTES // row.nbytes)
-    for lo in range(0, tab.shape[0], step):
-        tab[lo:lo + step] -= np.outer(other[lo:lo + step], row)
-    tab[:, enter] = 0.0
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        tab[np.ix_(block, cols)] -= np.outer(tab[block, enter], row)
+    tab[rows, enter] = 0.0
     tab[leave, enter] = 1.0
-    np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
+    touched = np.append(rows, leave)
+    tab[touched, -1] = np.clip(tab[touched, -1], 0.0, None)
     basis[leave] = enter
 
 
