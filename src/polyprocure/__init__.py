@@ -4,6 +4,7 @@ from .lp import (
     IterationLimitError,
     LinearProgram,
     LpStatus,
+    NumericalError,
     check_feasible,
     solve_lp,
 )

@@ -27,7 +27,7 @@ from .demandset import (
     split,
     window_average,
 )
-from .lp import IterationLimitError
+from .lp import NumericalError
 from .polytope import BatterySpec, _at, _floats, _number, battery_set
 from .procurement import (
     PreconditionError,
@@ -379,7 +379,7 @@ def main(argv=None):
             return EXIT_PRECONDITION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IterationLimitError as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -7,8 +7,10 @@ program solves to bit-identical results every time.  Each phase pivots one
 dense array in place: phase 1 the standard form laid out as
 [A | artificials | b], phase 2 [B^-1 A | B^-1 b] rebuilt from the original
 data at the phase boundary.  The returned point is recomputed from the
-final basis, so rank-1 update drift never reaches the caller.  Sized for
-desk-scale problems; no sparsity.
+final basis, so rank-1 update drift never reaches the caller.  The arrays
+are dense, but the work follows the sparsity of the LPs' block structure: a
+pivot touches only the nonzero rows and columns of its update, and pricing
+reads only the basic rows that carry cost.
 """
 
 import enum
@@ -23,11 +25,13 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-class IterationLimitError(RuntimeError):
-    """Pivot budget exhausted before reaching a verdict.
+class NumericalError(RuntimeError):
+    """The solver reached no trustworthy verdict; deliberately not one of the
+    three statuses."""
 
-    Signals numerical trouble; deliberately not one of the three statuses.
-    """
+
+class IterationLimitError(NumericalError):
+    """Pivot budget exhausted before reaching a verdict."""
 
 
 FEAS_TOL = 1e-9  # feasibility and optimality tolerance
@@ -207,7 +211,9 @@ def _simplex(tab, c, basis, counter):
     """Run phase iterations on the current tableau in place.
 
     tab is [B^-1 A | B^-1 rhs] for the full column set; c prices every column
-    but the rhs; basis maps rows to column indices.  Returns "optimal" or
+    but the rhs; basis maps rows to column indices.  Reduced costs read only
+    the rows whose basic variable has a nonzero cost: the artificials still
+    basic in phase 1, the priced columns in phase 2.  Returns "optimal" or
     "unbounded".  counter is a one-element iteration budget.
     """
     m = tab.shape[0]
@@ -219,7 +225,9 @@ def _simplex(tab, c, basis, counter):
             raise IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} pivots")
         counter[0] += 1
 
-        z = c - c[basis] @ tab[:, :-1]
+        cb = c[basis]
+        priced = np.flatnonzero(cb)
+        z = c - cb[priced] @ tab[priced, :-1]
         if bland:
             improving = np.flatnonzero(z < -FEAS_TOL)
             if improving.size == 0:
@@ -269,7 +277,7 @@ class _PhaseOne:
         c1[n:] = 1.0
         status = _simplex(tab, c1, basis, counter)
         if status != "optimal":
-            raise IterationLimitError("phase 1 lost boundedness: numerical failure")
+            raise NumericalError("phase 1 lost boundedness")
 
         self.counter = counter
         self.tab, self.basis = tab, basis

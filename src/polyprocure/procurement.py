@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, NumericalError, solve_lp
 from .polytope import (
     BatchJob,
     BatterySpec,
@@ -194,7 +194,7 @@ def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
     if sol.status is LpStatus.INFEASIBLE:
         return _infeasible()
     if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"{what} LP became unbounded: malformed instance")
+        raise NumericalError(f"{what} LP became unbounded")
     x = sol.point
     const = sum(res.price for res in inst.resources if not res.scalable)
     alphas = np.array([x[cols.alpha[i]] if i in cols.alpha else 1.0
@@ -402,7 +402,7 @@ def battery_exact_procurement(batteries, prices):
     sol = solve_lp(LinearProgram(c=prices, a_le=a_le, b_le=b_le,
                                  lower=np.zeros(len(batteries))))
     if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError("aggregate battery LP failed to solve")
+        raise NumericalError(f"aggregate battery LP came back {sol.status.value}")
     return ProcurementResult(LpStatus.OPTIMAL, sol.point.copy(),
                              float(sol.objective_value),
                              {"rate_need": float(rates.sum()),

@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 
 import polyprocure
+from polyprocure import procurement
 from polyprocure.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     RunReport,
     main,
 )
+from polyprocure.lp import LpSolution, LpStatus
 
 BATTERY_INSTANCE = {
     "resources": [
@@ -78,6 +81,15 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def assert_numerical_failure(code, captured, message):
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestJstar:
@@ -141,6 +153,11 @@ class TestJstar:
         assert captured.err.count("\n") == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    def test_unbounded_oracle_lp_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(procurement, "solve_lp", lambda lp: LpSolution(LpStatus.UNBOUNDED))
+        code = main(["jstar", write_json(tmp_path, "inst.json", BATTERY_INSTANCE)])
+        assert_numerical_failure(code, capsys.readouterr(), "oracle LP became unbounded")
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         path = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
@@ -238,6 +255,18 @@ class TestPocSweep:
         assert captured.err.count("\n") == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    def test_unbounded_battery_lp_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        real = procurement.solve_lp
+
+        def aggregate_unbounded(lp):
+            # The aggregate battery LP is the only one without equality rows.
+            return LpSolution(LpStatus.UNBOUNDED) if lp.b_eq.size == 0 else real(lp)
+
+        monkeypatch.setattr(procurement, "solve_lp", aggregate_unbounded)
+        code = main(["poc-sweep", write_json(tmp_path, "sweep.json", SWEEP_SPEC),
+                     "--kappa", "1:1:1"])
+        assert_numerical_failure(code, capsys.readouterr(), "aggregate battery LP")
 
     def test_charged_battery_is_a_precondition_failure(self, tmp_path, capsys):
         # Nonzero initial charge once printed jss 1 below jstar 1.5 with exit 0.

@@ -1,5 +1,5 @@
 """Solver checks: worked programs, brute-force and HiGHS cross-validation,
-memory budgets."""
+the sparse pivot against a dense one, memory budgets."""
 
 import itertools
 import tracemalloc
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyprocure import causal, procurement
+from _fleets import random_fleet_instance
+from polyprocure import causal, lp as lp_module, procurement
 from polyprocure.causal import build_scenario_tree, causal_feasibility
 from polyprocure.lp import (
     FEAS_TOL,
@@ -102,6 +103,68 @@ def phase_one_tableau_bytes(lp):
     n_std = np.where(has_lo | has_up, 1, 2).sum() + m_ineq
     n_art = m_eq + np.count_nonzero(lp.b_le - lp.a_le @ offset < 0)
     return 8 * (m_eq + m_ineq) * (n_std + n_art + 1)
+
+
+def captured_lps(module, name, run):
+    """Every LP that run() passes to module.name, in call order."""
+    seen = []
+    real = getattr(module, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, lambda lp: seen.append(lp) or real(lp))
+        run()
+    return seen
+
+
+def tree_check_lp(alpha):
+    """The LP of a 1214 x 186 scenario-tree check, the benchmark's shape: three
+    batteries scaled by alpha, six periods, a binary branch in each of the
+    first four."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-0.6, 0.6, (6, 16))
+    signals = [[values[d, leaf >> max(0, 3 - d)] for d in range(6)] for leaf in range(16)]
+    resources = [Resource(battery_set(BatterySpec(c, r, s, 6)), 1.0)
+                 for c, r, s in ((2.2, 0.9, 0.5), (1.8, 0.8, 0.4), (2.6, 1.0, 0.6))]
+    return captured_lps(causal, "check_feasible", lambda: causal_feasibility(
+        build_scenario_tree(np.array(signals)), resources, [alpha] * 3))[0]
+
+
+def highs(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq = {"A_eq": lp.a_eq, "b_eq": lp.b_eq} if lp.b_eq.size else {}
+    le = {"A_ub": lp.a_le, "b_ub": lp.b_le} if lp.b_le.size else {}
+    return linprog(lp.c, **le, **eq, bounds=np.column_stack([lp.lower, lp.upper]),
+                   method="highs")
+
+
+HIGHS_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+
+
+def dense_pivot(tab, basis, leave, enter):
+    """The reference pivot: a rank-1 update of every row and column."""
+    tab[leave] /= tab[leave, enter]
+    other = tab[:, enter].copy()
+    other[leave] = 0.0
+    tab -= np.outer(other, tab[leave].copy())
+    tab[:, enter] = 0.0
+    tab[leave, enter] = 1.0
+    np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
+    basis[leave] = enter
+
+
+@st.composite
+def pivot_cases(draw):
+    """A tableau with many exact zeros, entries of both signs and a
+    nonnegative rhs column, a basis, and a pivot with a positive entry."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    tab = rng.normal(0, 1, (m, n + 1)) * 10.0 ** rng.integers(-3, 4, (m, n + 1))
+    tab[rng.random((m, n + 1)) >= density] = 0.0
+    tab[:, -1] = np.abs(tab[:, -1])
+    leave, enter = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    tab[leave, enter] = abs(tab[leave, enter]) or 1.0
+    basis = rng.integers(0, n, m)
+    return tab, basis, leave, enter
 
 
 def traced_peak(fn, *args):
@@ -232,31 +295,78 @@ class TestAgainstHighs:
                 assert_primal_feasible(lp, sol.point)
                 compared += 1
 
+    def test_fleet_lps_match_highs(self):
+        """The LPs that solve_oracle and tv_proportional_bound build on random
+        battery fleets."""
+        rng = np.random.default_rng(17)
+        lps = []
+        for _ in range(10):
+            _, _, inst = random_fleet_instance(rng)
+            for bound in (procurement.solve_oracle, procurement.tv_proportional_bound):
+                lps += captured_lps(procurement, "solve_lp", lambda: bound(inst))
+        assert len(lps) == 20
+        optimal = 0
+        for lp in lps:
+            sol, ref = solve_lp(lp), highs(lp)
+            assert sol.status is HIGHS_STATUS[ref.status]
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+                optimal += 1
+        assert optimal >= 10
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_tree_check_verdict_matches_highs(self, alpha):
+        lp = tree_check_lp(alpha)
+        ref = highs(lp)
+        assert ref.status in (0, 2)
+        assert check_feasible(lp).feasible is (ref.status == 0)
+
+
+class TestSparsePivot:
+    @settings(max_examples=200, deadline=None)
+    @given(pivot_cases(), st.sampled_from([8, 64, 1 << 20]))
+    def test_bit_identical_to_dense_update(self, case, block_bytes):
+        tab, basis, leave, enter = case
+        ref_tab, ref_basis = tab.copy(), basis.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_UPDATE_BLOCK_BYTES", block_bytes)
+            lp_module._pivot(tab, basis, leave, enter)
+        dense_pivot(ref_tab, ref_basis, leave, enter)
+        # array_equal counts -0.0 equal to 0.0: the one difference an update
+        # that skips x - 0 * y can make.
+        assert np.array_equal(tab, ref_tab)
+        assert np.array_equal(basis, ref_basis)
+
+    def test_writes_only_touched_rows_and_columns(self):
+        class Recording(np.ndarray):
+            written = 0
+
+            def __setitem__(self, key, value):
+                Recording.written += np.size(np.asarray(self)[key])
+                super().__setitem__(key, value)
+
+        m, n = 400, 600
+        tab = np.zeros((m, n + 1))
+        tab[:, -1] = 1.0
+        tab[np.arange(m), np.arange(m)] = 1.0  # a slack basis
+        tab[[3, 50, 170], 450] = [2.0, -1.0, 0.5]
+        tab[50, [7, 90, 451]] = [0.3, -2.0, 4.0]
+        basis = np.arange(m)
+        lp_module._pivot(tab.view(Recording), basis, 50, 450)
+        # The leaving row; then 2 rows x its 6 nonzero columns (4 entries, its
+        # slack and the rhs), the entering column on 3 rows and the rhs of 3
+        # rows.  A dense update writes all m x (n + 1) entries.
+        assert Recording.written <= (n + 1) + 2 * 6 + 3 + 3
+        assert basis[50] == 450
+
 
 class TestMemory:
     """Peak traced memory of a solve, in phase-1 tableaus of its LP.  The LPs
     have the shapes of the benchmark's: a 1214 x 186 scenario-tree check and
     a 704 x 194 oracle."""
 
-    @staticmethod
-    def captured_lp(module, name, run):
-        """The first LP that run() passes to module.name."""
-        seen = []
-        real = getattr(module, name)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, name, lambda lp: seen.append(lp) or real(lp))
-            run()
-        return seen[0]
-
     def test_tree_check_peak(self):
-        rng = np.random.default_rng(3)
-        # Three batteries, six periods, a binary branch in each of the first four.
-        values = rng.uniform(-0.6, 0.6, (6, 16))
-        signals = [[values[d, leaf >> max(0, 3 - d)] for d in range(6)] for leaf in range(16)]
-        resources = [Resource(battery_set(BatterySpec(c, r, s, 6)), 1.0)
-                     for c, r, s in ((2.2, 0.9, 0.5), (1.8, 0.8, 0.4), (2.6, 1.0, 0.6))]
-        lp = self.captured_lp(causal, "check_feasible", lambda: causal_feasibility(
-            build_scenario_tree(np.array(signals)), resources, [1.0, 1.0, 1.0]))
+        lp = tree_check_lp(1.0)
         assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (1214, 186)
         assert traced_peak(check_feasible, lp) <= 1.7 * phase_one_tableau_bytes(lp)
 
@@ -268,8 +378,7 @@ class TestMemory:
             {"battery": {"capacity": 1.5, "rate": 0.5, "soc": 0.5}, "price": 0.3,
              "scalable": False}],
             "demand": {"vrep": {"vertices": rng.uniform(-1, 1, (8, 8)).tolist()}}})
-        lp = self.captured_lp(procurement, "solve_lp",
-                              lambda: procurement.solve_oracle(inst))
+        lp = captured_lps(procurement, "solve_lp", lambda: procurement.solve_oracle(inst))[0]
         assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (704, 194)
         assert traced_peak(solve_lp, lp) <= 3.5 * phase_one_tableau_bytes(lp)
 
