@@ -187,23 +187,21 @@ def _pivot(tab, basis, leave, enter):
 
     The update touches only the rows with a nonzero entry in column `enter`
     and the columns with a nonzero entry in row `leave`: every other entry
-    would change by 0 * y.  The last column of tab is the rhs; it is updated
-    with the row and kept nonnegative.
+    would change by 0 * y.  Column `enter` comes out as an exact unit vector,
+    since p / p = 1 and x - x * 1 = 0.  The last column of tab is the rhs; it
+    is updated with the row and kept nonnegative.
     """
-    pivot = tab[leave, enter]
-    tab[leave] /= pivot
-    rows = np.flatnonzero(tab[:, enter])
-    rows = rows[rows != leave]
-    cols = np.flatnonzero(tab[leave])
+    tab[leave] /= tab[leave, enter]
+    touched = tab[:, enter].nonzero()[0]
+    rows = touched[touched != leave]
+    cols = tab[leave].nonzero()[0]
     row = tab[leave, cols]
     step = max(1, _UPDATE_BLOCK_BYTES // row.nbytes)
     for lo in range(0, rows.size, step):
-        block = rows[lo:lo + step]
-        tab[np.ix_(block, cols)] -= np.outer(tab[block, enter], row)
-    tab[rows, enter] = 0.0
-    tab[leave, enter] = 1.0
-    touched = np.append(rows, leave)
-    tab[touched, -1] = np.clip(tab[touched, -1], 0.0, None)
+        block = rows[lo:lo + step, None]
+        tab[block, cols] -= tab[block, enter] * row
+    rhs = tab[:, -1]
+    rhs[touched] = np.maximum(rhs[touched], 0.0)
     basis[leave] = enter
 
 
@@ -226,7 +224,7 @@ def _simplex(tab, c, basis, counter):
         counter[0] += 1
 
         cb = c[basis]
-        priced = np.flatnonzero(cb)
+        priced = cb.nonzero()[0]
         z = c - cb[priced] @ tab[priced, :-1]
         if bland:
             improving = np.flatnonzero(z < -FEAS_TOL)
