@@ -129,6 +129,7 @@ def tree_check_lp(alpha):
 
 
 def highs(lp):
+    """SciPy's HiGHS on lp; skips the test without SciPy."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     eq = {"A_eq": lp.a_eq, "b_eq": lp.b_eq} if lp.b_eq.size else {}
     le = {"A_ub": lp.a_le, "b_ub": lp.b_le} if lp.b_le.size else {}
@@ -279,17 +280,12 @@ class TestAgainstBruteForce:
 
 class TestAgainstHighs:
     def test_random_optima_match_highs(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        status_of = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
         rng = np.random.default_rng(21)
         compared = 0
         while compared < 40:
             lp = random_boxed_lp(rng)
-            sol = solve_lp(lp)
-            eq = {"A_eq": lp.a_eq, "b_eq": lp.b_eq} if lp.b_eq.size else {}
-            ref = linprog(lp.c, A_ub=lp.a_le, b_ub=lp.b_le, **eq,
-                          bounds=np.column_stack([lp.lower, lp.upper]), method="highs")
-            assert sol.status is status_of[ref.status]
+            sol, ref = solve_lp(lp), highs(lp)
+            assert sol.status is HIGHS_STATUS[ref.status]
             if sol.status is LpStatus.OPTIMAL:
                 assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
                 assert_primal_feasible(lp, sol.point)
@@ -349,14 +345,14 @@ class TestSparsePivot:
         tab = np.zeros((m, n + 1))
         tab[:, -1] = 1.0
         tab[np.arange(m), np.arange(m)] = 1.0  # a slack basis
-        tab[[3, 50, 170], 450] = [2.0, -1.0, 0.5]
+        tab[[3, 50, 170], 450] = [2.0, 1.5, 0.5]
         tab[50, [7, 90, 451]] = [0.3, -2.0, 4.0]
         basis = np.arange(m)
         lp_module._pivot(tab.view(Recording), basis, 50, 450)
-        # The leaving row; then 2 rows x its 6 nonzero columns (4 entries, its
-        # slack and the rhs), the entering column on 3 rows and the rhs of 3
-        # rows.  A dense update writes all m x (n + 1) entries.
-        assert Recording.written <= (n + 1) + 2 * 6 + 3 + 3
+        # The leaving row, then 2 rows x its 6 nonzero columns (4 entries, its
+        # slack and the rhs), then the rhs of the 3 rows the column touches.
+        # A dense update writes all m x (n + 1) entries.
+        assert Recording.written <= (n + 1) + 2 * 6 + 3
         assert basis[50] == 450
 
 
