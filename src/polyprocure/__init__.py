@@ -58,7 +58,6 @@ from .demandset import (
     SignalDataset,
     build_model,
     coverage_curve,
-    coverage_ratio,
     segment,
     split,
     window_average,

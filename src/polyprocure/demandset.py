@@ -2,15 +2,24 @@
 
 Pipeline: average a raw series into blocks, cut it into fixed-horizon
 segments, split into training and held-out parts, take the training hull
-(kept as a point list; membership is one LP per query), and inflate it by a
-factor delta about a center until held-out coverage is acceptable.
+(kept as a point list), and inflate it by a factor delta about a center
+until held-out coverage is acceptable.  Coverage over a whole grid of
+deltas costs one gauge LP per held-out sample: the least inflation that
+covers it (and, when the center lies outside the hull, a second LP for the
+largest).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .polytope import VPolytope, contains_point
+
+# Singular values of the centred training samples below this fraction of the
+# largest count as zero: their directions are rounding noise, and keeping
+# them would leave the gauge LPs' equality rows nearly rank-deficient.
+SPAN_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,23 +107,53 @@ def covers(model, x):
     return contains_point(model.vertices, x, delta=model.delta, center=model.center)
 
 
-def coverage_ratio(model, validation):
-    """Fraction of validation samples inside the inflated hull."""
-    if validation.horizon != model.vertices.horizon:
-        raise ValueError("validation horizon differs from the model")
-    hits = sum(covers(model, x) for x in validation.samples)
-    return hits / validation.n_samples
+def _sum_bound(a_eq, target, sense):
+    """min (sense 1) or max (sense -1) of sum(mu) over mu >= 0 with
+    a_eq mu = target: None if no such mu exists, inf if unbounded."""
+    res = solve_lp(LinearProgram(c=np.full(a_eq.shape[1], sense), a_eq=a_eq,
+                                 b_eq=target, lower=0.0))
+    if res.status is LpStatus.INFEASIBLE:
+        return None
+    return np.inf if res.status is LpStatus.UNBOUNDED else sense * res.objective_value
 
 
 def coverage_curve(model, validation, deltas):
-    """(delta, coverage) pairs over an ascending grid of inflations."""
+    """(delta, coverage) pairs over an ascending grid of inflations.
+
+    With center c, x lies in the delta-inflated hull of V iff some mu >= 0
+    has (V - c)' mu = x - c and sum(mu) = delta.  The reachable sums form an
+    interval: its low end is x's gauge, and its high end is infinite exactly
+    when c lies in the hull (always so for the centroid).  So each sample
+    costs one LP, or two for a center outside the hull, whatever the grid.
+    The rows are first projected onto the span of V - c, which makes them
+    full rank; a sample off that span is outside at every delta.
+    """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise ValueError("empty delta grid")
     if any(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta grid must be ascending")
-    out = []
-    for d in deltas:
-        m = DemandSetModel(model.vertices, model.center, d)
-        out.append((d, coverage_ratio(m, validation)))
-    return out
+    if deltas[0] < 1.0:
+        raise ValueError("inflation factor must be >= 1")
+    if validation.horizon != model.vertices.horizon:
+        raise ValueError("validation horizon differs from the model")
+
+    spread = (model.vertices.vertices - model.center).T
+    u, s, _ = np.linalg.svd(spread, full_matrices=False)
+    span = u[:, :int(np.sum(s > SPAN_RANK_TOL * s[0]))]
+    a_eq = span.T @ spread
+    targets = validation.samples - model.center
+    coords = targets @ span
+    off_span = np.abs(targets - coords @ span.T).max(axis=1) > \
+        FEAS_TOL * np.maximum(1.0, np.abs(targets).max(axis=1))
+    bounded = not contains_point(model.vertices, model.center)
+
+    grid = np.array(deltas)
+    hits = np.zeros(grid.size, dtype=int)
+    for x, off in zip(coords, off_span):
+        lo = None if off else _sum_bound(a_eq, x, 1.0)
+        if lo is not None:
+            hi = _sum_bound(a_eq, x, -1.0) if bounded else np.inf
+            hits += (lo <= grid + FEAS_TOL) & (grid <= hi + FEAS_TOL)
+    n = validation.n_samples
+    return [(d, int(h) / n) for d, h in zip(deltas, hits)]

@@ -123,30 +123,22 @@ class _Standard:
 
         # Column plan: shift finite-lower variables, mirror upper-only ones,
         # split free ones.  Doubly bounded variables get an extra <= row.
-        plus = np.full(n, -1)
-        minus = np.full(n, -1)
-        offset = np.zeros(n)
-        ub_cols, ub_widths = [], []
-        ncol = 0
-        for j in range(n):
-            if np.isfinite(lo[j]):
-                offset[j] = lo[j]
-                plus[j] = ncol
-                ncol += 1
-                if np.isfinite(up[j]):
-                    ub_cols.append(plus[j])
-                    ub_widths.append(up[j] - lo[j])
-            elif np.isfinite(up[j]):
-                offset[j] = up[j]
-                minus[j] = ncol
-                ncol += 1
-            else:
-                plus[j] = ncol
-                minus[j] = ncol + 1
-                ncol += 2
+        # Columns are numbered in variable order, two for a free variable.
+        has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+        upper_only = has_up & ~has_lo
+        free = ~(has_lo | has_up)
+        widths = 1 + free
+        first = np.cumsum(widths) - widths
+        ncol = int(widths.sum())
+        plus = np.where(upper_only, -1, first)
+        minus = np.where(upper_only, first, np.where(free, first + 1, -1))
+        offset = np.where(has_lo, lo, np.where(has_up, up, 0.0))
+        boxed = has_lo & has_up
+        ub_cols = plus[boxed]
+        ub_widths = up[boxed] - lo[boxed]
 
         m_eq, m_orig = lp.b_eq.size, lp.b_eq.size + lp.b_le.size
-        m = m_orig + len(ub_cols)
+        m = m_orig + ub_cols.size
         base = np.vstack([lp.a_eq, lp.a_le]) if m_orig else np.zeros((0, n))
         b = np.concatenate([lp.b_eq, lp.b_le, ub_widths])
         b[:m_orig] -= base @ offset
@@ -162,7 +154,7 @@ class _Standard:
         tab = np.zeros((m, self.n_struct + art_rows.size + 1))
         tab[:m_orig, plus[has_plus]] = base[:, has_plus]
         tab[:m_orig, minus[has_minus]] = -base[:, has_minus]
-        tab[np.arange(m_orig, m), np.array(ub_cols, dtype=int)] = 1.0
+        tab[np.arange(m_orig, m), ub_cols] = 1.0
         tab[np.arange(m_eq, m), slack_cols] = 1.0
         tab[:, -1] = b
         np.negative(tab, out=tab, where=neg[:, None])  # nonnegative rhs

@@ -214,11 +214,16 @@ def scale(p, alpha):
 
 
 def _dedup(points):
-    kept = []
+    """The points in order, each dropped if it is within VERTEX_DEDUP_TOL of
+    an earlier kept one."""
+    points = np.asarray(points, dtype=float)
+    kept = np.empty_like(points)
+    k = 0
     for x in points:
-        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in kept):
-            kept.append(x)
-    return np.array(kept)
+        if k == 0 or np.abs(kept[:k] - x).max(axis=1).min() > VERTEX_DEDUP_TOL:
+            kept[k] = x
+            k += 1
+    return kept[:k].copy()
 
 
 def hrep_to_vrep(p):

@@ -8,7 +8,6 @@ from polyprocure.demandset import (
     SignalDataset,
     build_model,
     coverage_curve,
-    coverage_ratio,
     covers,
     segment,
     split,
@@ -109,8 +108,9 @@ class TestCoverage:
 
     def test_training_covers_itself(self):
         train, _ = self.heavy_tailed()
-        model = build_model(train)
-        assert coverage_ratio(model, train) == 1.0
+        for center in ("centroid", "origin"):
+            model = build_model(train, center=center)
+            assert coverage_curve(model, train, [1.0]) == [(1.0, 1.0)]
 
     def test_monotone_in_delta(self):
         train, val = self.heavy_tailed()
@@ -138,13 +138,11 @@ class TestCoverage:
             return hi
 
         needed = max(enclosing_delta(x) for x in val.samples)
-        at = coverage_ratio(DemandSetModel(model.vertices, model.center,
-                                           needed * (1 + 1e-6)), val)
+        [(_, at)] = coverage_curve(model, val, [needed * (1 + 1e-6)])
         assert at == 1.0
         if needed > 1.0 + 1e-6:
-            below = coverage_ratio(
-                DemandSetModel(model.vertices, model.center, 1.0 + 0.9 *
-                               (needed - 1.0)), val)
+            [(_, below)] = coverage_curve(model, val,
+                                          [1.0 + 0.9 * (needed - 1.0)])
             assert below < 1.0
 
     def test_curve_on_training(self):
@@ -166,7 +164,18 @@ class TestCoverage:
         train, _ = self.heavy_tailed()
         model = build_model(train)
         with pytest.raises(ValueError):
-            coverage_ratio(model, SignalDataset(np.zeros((2, 5))))
+            coverage_curve(model, SignalDataset(np.zeros((2, 5))), [1.0])
+
+    def test_grid_below_one(self):
+        train, val = self.heavy_tailed()
+        with pytest.raises(ValueError):
+            coverage_curve(build_model(train), val, [0.5, 1.0])
+
+    def test_single_point_hull(self):
+        model = build_model(SignalDataset([[1.0, 2.0]]))
+        val = SignalDataset([[1.0, 2.0], [1.0, 2.5]])
+        assert coverage_curve(model, val, [1.0, 2.0]) == [(1.0, 0.5),
+                                                          (2.0, 0.5)]
 
     def test_membership_certificate_reconstructs(self):
         train, val = self.heavy_tailed(seed=3)
@@ -182,3 +191,69 @@ class TestCoverage:
             assert np.allclose(rebuilt, x, atol=1e-7)
             checked += 1
         assert checked > 0
+
+
+def subspace_history(seed, n=140, t=24, rank=6):
+    """Samples of t periods that span a rank-dimensional subspace."""
+    rng = np.random.default_rng(seed)
+    shapes = rng.normal(size=(rank, t))
+    return SignalDataset(rng.uniform(0.5, 1.5, (n, rank)) @ shapes)
+
+
+def per_delta_counts(model, val, grid):
+    return [sum(covers(DemandSetModel(model.vertices, model.center, d), x)
+                for x in val.samples) for d in grid]
+
+
+class TestGaugeCoverage:
+    """coverage_curve solves one gauge LP per sample; covers solves one
+    membership LP per sample and delta, and serves as the reference."""
+
+    GRID = [1.0, 1.1, 1.25, 1.5, 2.0, 3.0]
+
+    def counts(self, model, val, grid):
+        return [round(r * val.n_samples) for _, r in
+                coverage_curve(model, val, grid)]
+
+    @pytest.mark.parametrize("center", ["centroid", "origin"])
+    def test_matches_per_delta_membership(self, center):
+        rng = np.random.default_rng(5)
+        data = 1.0 + 0.3 * rng.standard_t(df=3, size=(50, 3))
+        train, val = split(SignalDataset(data), 30)
+        model = build_model(train, center=center)
+        got = self.counts(model, val, self.GRID)
+        assert got == per_delta_counts(model, val, self.GRID)
+        if center == "origin":
+            # the origin lies outside the hull of these positive samples, so
+            # inflating about it moves the hull away from samples near it
+            assert got[-1] < max(got)
+
+    def test_rank_deficient_matches_per_delta_membership(self):
+        train, val = split(subspace_history(8, n=60, t=8, rank=3), 40)
+        off = val.samples.copy()
+        off[::4] += 1e-3  # leave the span: outside at every delta
+        val = SignalDataset(off)
+        for center in ("centroid", "origin"):
+            model = build_model(train, center=center)
+            got = self.counts(model, val, self.GRID)
+            assert got == per_delta_counts(model, val, self.GRID)
+            assert max(got) <= 15
+
+    def test_subspace_history_matches_highs_gauges(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        train, val = split(subspace_history(2), 100)
+        model = build_model(train)
+        spread = (train.samples - model.center).T
+        gauges = []
+        for x in val.samples:
+            res = optimize.linprog(np.ones(train.n_samples), A_eq=spread,
+                                   b_eq=x - model.center, bounds=(0, None),
+                                   method="highs")
+            assert res.status == 0
+            gauges.append(res.fun)
+        gauges = np.array(gauges)
+        grid = np.arange(1.0, 2.01, 0.1)
+        got = self.counts(model, val, grid)
+        for d, hits in zip(grid, got):
+            assert np.sum(gauges <= d - 1e-7) <= hits <= np.sum(gauges <= d + 1e-7)
+        assert 0 < got[0] < got[-1]

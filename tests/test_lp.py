@@ -356,6 +356,50 @@ class TestSparsePivot:
         assert basis[50] == 450
 
 
+def looped_column_plan(lower, upper):
+    """The reference column plan, one variable at a time: shift
+    finite-lower variables, mirror upper-only ones, split free ones."""
+    n = lower.size
+    plus, minus, offset = np.full(n, -1), np.full(n, -1), np.zeros(n)
+    ub_cols, ub_widths = [], []
+    ncol = 0
+    for j in range(n):
+        if np.isfinite(lower[j]):
+            offset[j], plus[j] = lower[j], ncol
+            ncol += 1
+            if np.isfinite(upper[j]):
+                ub_cols.append(plus[j])
+                ub_widths.append(upper[j] - lower[j])
+        elif np.isfinite(upper[j]):
+            offset[j], minus[j] = upper[j], ncol
+            ncol += 1
+        else:
+            plus[j], minus[j] = ncol, ncol + 1
+            ncol += 2
+    return plus, minus, offset, ncol, ub_cols, ub_widths
+
+
+class TestColumnPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 4))
+    def test_matches_per_variable_loop(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, 4, n)  # lower only, upper only, both, free
+        lower = np.where(kind % 2 == 0, rng.normal(size=n), -np.inf)
+        upper = np.where(kind == 1, rng.normal(size=n), np.inf)
+        upper[kind == 2] = lower[kind == 2] + rng.uniform(0, 2, np.sum(kind == 2))
+        lp = LinearProgram(c=rng.normal(size=n), a_le=rng.normal(size=(m, n)),
+                           b_le=rng.normal(size=m), lower=lower, upper=upper)
+        std = lp_module._Standard(lp)
+        plus, minus, offset, ncol, ub_cols, ub_widths = looped_column_plan(lower, upper)
+        for got, want in ((std.plus, plus), (std.minus, minus), (std.offset, offset)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert std.n_struct == ncol + m + len(ub_cols)
+        ub_rows = std.tab[m:]
+        assert np.array_equal(ub_rows[:, :ncol].nonzero()[1], ub_cols)
+        assert np.array_equal(ub_rows[:, -1], ub_widths)
+
+
 class TestMemory:
     """Peak traced memory of a solve, in phase-1 tableaus of its LP.  The LPs
     have the shapes of the benchmark's: a 1214 x 186 scenario-tree check and

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyprocure import polytope
 from polyprocure.polytope import (
     BatchJob,
     BatterySpec,
@@ -206,6 +207,23 @@ class TestVertexEnumeration:
             for _ in range(10):
                 w = rng.dirichlet(np.ones(v.n_vertices))
                 assert contains_point(v, w @ v.vertices)
+
+    def test_dedup_matches_pairwise_loop(self):
+        def looped(points):
+            kept = []
+            for x in points:
+                if not any(np.max(np.abs(x - y)) <= polytope.VERTEX_DEDUP_TOL
+                           for y in kept):
+                    kept.append(x)
+            return np.array(kept)
+
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            base = rng.integers(0, 2, (30, 3)).astype(float)
+            points = base + rng.choice([0.0, 5e-8, 2e-7], base.shape)
+            got = polytope._dedup(list(points))
+            assert np.array_equal(got, looped(points))
+            assert 0 < len(got) < len(points)
 
     def test_lifted_polytope_rejected(self):
         p = batch_workload_set([BatchJob(1, 1, 1)], horizon=2)
