@@ -12,7 +12,7 @@ for battery fleets procured at the aggregate two-row LP optimum.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,14 @@ REPLAY_TOL = 1e-7  # slack of a replayed dispatch: signal sum, unprocured output
 PROCURED_TOL = 1e-6  # slack of the aggregate rows a block policy needs
 
 
-@dataclass
-class TreeNode:
-    node_id: int
-    parent: int
-    depth: int
-    value: float
-    children: list = field(default_factory=list)
-
-
 class ScenarioTree:
-    """Prefix tree of equal-length signals; node 0 is the virtual root."""
+    """Prefix tree of equal-length signals, held as arrays.
+
+    Node 0 is the virtual root.  ``paths[k, t]`` is the id of scenario k's
+    node at period t + 1; ``depth`` and ``value`` hold one entry per node.
+    Ids are numbered in first-seen order, scenario by scenario, and a child
+    matches a signal value within PREFIX_TOL.
+    """
 
     def __init__(self, signals):
         signals = np.atleast_2d(np.asarray(signals, dtype=float))
@@ -43,45 +40,30 @@ class ScenarioTree:
             raise ValueError("need at least one scenario")
         if not np.all(np.isfinite(signals)):
             raise ValueError("scenario values must be finite")
-        self.signals = signals
-        self.horizon = signals.shape[1]
-        self.nodes = [TreeNode(0, -1, 0, 0.0)]
-        self.scenario_leaves = []
-        for row in signals:
-            cur = self.nodes[0]
-            for value in row:
-                nxt = None
-                for cid in cur.children:
-                    if abs(self.nodes[cid].value - value) <= PREFIX_TOL:
-                        nxt = self.nodes[cid]
-                        break
+        depth, value, children = [0], [0.0], [[]]
+        self.paths = np.zeros(signals.shape, dtype=int)
+        for k, row in enumerate(signals):
+            cur = 0
+            for t, v in enumerate(row):
+                nxt = next((c for c in children[cur]
+                            if abs(value[c] - v) <= PREFIX_TOL), None)
                 if nxt is None:
-                    nxt = TreeNode(len(self.nodes), cur.node_id,
-                                   cur.depth + 1, float(value))
-                    self.nodes.append(nxt)
-                    cur.children.append(nxt.node_id)
-                cur = nxt
-            self.scenario_leaves.append(cur.node_id)
+                    nxt = len(value)
+                    depth.append(t + 1)
+                    value.append(float(v))
+                    children.append([])
+                    children[cur].append(nxt)
+                self.paths[k, t] = cur = nxt
+        self.depth = np.array(depth)
+        self.value = np.array(value)
 
     @property
     def n_scenarios(self):
-        return len(self.scenario_leaves)
+        return len(self.paths)
 
     @property
     def n_nodes(self):
-        return len(self.nodes)
-
-    def leaves(self):
-        return sorted(set(self.scenario_leaves))
-
-    def path(self, leaf_id):
-        """Node ids along the root-to-leaf path, depths 1..T."""
-        out = []
-        node = self.nodes[leaf_id]
-        while node.depth > 0:
-            out.append(node.node_id)
-            node = self.nodes[node.parent]
-        return out[::-1]
+        return len(self.value)
 
 
 def build_scenario_tree(signals):
@@ -91,7 +73,7 @@ def build_scenario_tree(signals):
 @dataclass
 class CausalCheck:
     feasible: bool
-    node_outputs: dict = None       # node_id -> per-resource output at that step
+    node_outputs: np.ndarray = None  # (n_nodes, n_resources); the root row is 0
     trajectories: np.ndarray = None  # (n_scenarios, n_resources, T)
 
 
@@ -108,37 +90,35 @@ def causal_feasibility(tree, resources, alphas):
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size != len(resources):
         raise ValueError("one alpha per resource required")
-    if np.any(alphas < 0):
-        raise ValueError("alphas must be nonnegative")
-    t = tree.horizon
+    if not np.all((alphas >= 0) & np.isfinite(alphas)):
+        raise ValueError(f"alphas must be finite and nonnegative, got {alphas.tolist()}")
+    t = tree.paths.shape[1]
     for res in resources:
         if res.set.horizon != t:
             raise ValueError("resource horizon differs from scenario length")
 
     # Node-major outputs: parameter (node_id - 1) * n + i is resource i's
-    # output at that node.
+    # output at that node.  The LP has one scenario per distinct leaf, in
+    # ascending leaf id.
     n = len(resources)
-    paths = np.array([tree.path(leaf) for leaf in tree.leaves()])
+    paths = tree.paths[np.unique(tree.paths[:, -1], return_index=True)[1]]
 
     def trajectory(i, kk):
         m = np.zeros((t, (tree.n_nodes - 1) * n))
         m[np.arange(t), (paths[kk] - 1) * n + i] = 1.0
         return m
 
-    values = np.array([node.value for node in tree.nodes[1:]])
-    links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), values)
+    links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), tree.value[1:])
     lp, cols = _coverage_lp(resources, paths, (tree.n_nodes - 1) * n,
                             trajectory, links, alphas=alphas)
     res = check_feasible(lp)
     if not res.feasible:
         return CausalCheck(False)
 
-    outputs = res.point[cols.theta].reshape(tree.n_nodes - 1, n)
-    node_outputs = {node.node_id: outputs[node.node_id - 1]
-                    for node in tree.nodes[1:]}
-    scenario_paths = np.array([tree.path(leaf) for leaf in tree.scenario_leaves])
-    traj = outputs[scenario_paths - 1].transpose(0, 2, 1)
-    return CausalCheck(True, node_outputs, traj)
+    node_outputs = np.zeros((tree.n_nodes, n))
+    node_outputs[1:] = res.point[cols.theta].reshape(tree.n_nodes - 1, n)
+    return CausalCheck(True, node_outputs,
+                       node_outputs[tree.paths].transpose(0, 2, 1))
 
 
 def verify_dispatch(trajectories, resources, alphas, signal=None):

@@ -28,11 +28,12 @@ from .demandset import (
     window_average,
 )
 from .lp import NumericalError
-from .polytope import BatterySpec, _at, _floats, _number, battery_set
+from .polytope import _at, _floats, _number, battery_set
 from .procurement import (
     PreconditionError,
     ProcurementInstance,
     Resource,
+    _battery_from_json,
     _items,
     affine_bound,
     battery_exact_procurement,
@@ -161,6 +162,8 @@ def _parse_grid(spec):
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise UsageError("grid must look like start:stop:step")
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise UsageError(f"grid {spec} must have a finite start, stop and step")
     if step <= 0:
         raise UsageError("grid step must be positive")
     if hi < lo:
@@ -177,11 +180,7 @@ def cmd_poc_sweep(args):
     batteries = []
     for k, entry in enumerate(_items(spec, "batteries")):
         with _at(f"batteries[{k}]"):
-            t = _number(entry, "horizon", horizon, int)
-            if t is None:
-                raise ValueError("needs a horizon here or at the top level")
-            batteries.append(BatterySpec(_number(entry, "capacity"), _number(entry, "rate"),
-                                         _number(entry, "soc", 0.0), t))
+            batteries.append(_battery_from_json(entry, horizon))
     prices = _floats(spec, "prices")
     if prices.shape != (len(batteries),):
         raise UsageError("one price per battery required")
@@ -230,9 +229,9 @@ def cmd_causal_check(args):
                "n_nodes": tree.n_nodes}
     if check.feasible:
         results["nodes"] = {
-            str(node.node_id): {"depth": node.depth, "value": node.value,
-                                "outputs": check.node_outputs[node.node_id]}
-            for node in tree.nodes[1:]
+            str(j): {"depth": tree.depth[j], "value": tree.value[j],
+                     "outputs": check.node_outputs[j]}
+            for j in range(1, tree.n_nodes)
         }
     _report("causal-check", _digest(args.instance), results, started, args.out)
     return EXIT_OK if check.feasible else EXIT_INFEASIBLE
@@ -263,14 +262,14 @@ def _load_dataset(args):
             series = window_average(series, args.window)
         if not args.horizon:
             raise UsageError("--T is required for single-column data")
-        return segment(series, args.horizon, provenance=args.data)
+        return segment(series, args.horizon)
     if args.window > 1:
         raise UsageError(f"--window averages single-column data; this data has "
                          f"{table.shape[1]} columns")
     if args.horizon and table.shape[1] != args.horizon:
         raise UsageError(f"data has {table.shape[1]} columns but --T "
                          f"is {args.horizon}")
-    return SignalDataset(table, provenance=args.data)
+    return SignalDataset(table)
 
 
 def cmd_demand(args):

@@ -32,6 +32,8 @@ def allocate_cost(participants, e, jss):
         raise ValueError("participant length differs from the aggregate signal")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("inputs must be finite")
+    if not np.isfinite(jss):
+        raise ValueError(f"jss must be finite, got {jss}")
     norm_sq = float(e @ e)
     if norm_sq <= 0.0:
         raise ValueError("aggregate signal is zero; shares are undefined")

@@ -25,7 +25,6 @@ SPAN_RANK_TOL = 1e-10
 @dataclass(frozen=True)
 class SignalDataset:
     samples: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -54,8 +53,9 @@ class DemandSetModel:
         center = np.asarray(self.center, dtype=float)
         if center.shape != (self.vertices.horizon,):
             raise ValueError("center length differs from the sample horizon")
-        if self.delta < 1.0:
-            raise ValueError("inflation factor must be >= 1")
+        if not 1.0 <= self.delta < np.inf:
+            raise ValueError(f"inflation factor delta must be finite and >= 1, "
+                             f"got {self.delta}")
         object.__setattr__(self, "center", center)
 
 
@@ -72,7 +72,7 @@ def window_average(series, window_len):
     return series[:usable].reshape(-1, window_len).mean(axis=1)
 
 
-def segment(series, horizon, provenance=""):
+def segment(series, horizon):
     """Cut a series into consecutive horizon-length samples."""
     series = np.asarray(series, dtype=float).ravel()
     if horizon < 1:
@@ -80,15 +80,14 @@ def segment(series, horizon, provenance=""):
     n = series.size // horizon
     if n == 0:
         raise ValueError("series shorter than one horizon")
-    return SignalDataset(series[:n * horizon].reshape(n, horizon), provenance)
+    return SignalDataset(series[:n * horizon].reshape(n, horizon))
 
 
 def split(ds, n_train):
     """Order-preserving train/validation split."""
     if not 0 < n_train < ds.n_samples:
         raise ValueError("training size must leave both parts nonempty")
-    return (SignalDataset(ds.samples[:n_train], ds.provenance),
-            SignalDataset(ds.samples[n_train:], ds.provenance))
+    return SignalDataset(ds.samples[:n_train]), SignalDataset(ds.samples[n_train:])
 
 
 def build_model(train, delta=1.0, center="centroid"):

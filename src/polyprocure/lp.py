@@ -3,11 +3,14 @@
 Everything is float64 and the pivoting rules are fixed (Dantzig entering
 with lowest-index tie-breaks, leaving rows picked for pivot size among
 minimal ratios, Bland's rule after a run of degenerate pivots), so a given
-program solves to bit-identical results every time.  Each phase pivots one
+program solves to bit-identical results at a fixed BLAS thread count (the
+thread count changes the order in which BLAS sums: one oracle LP gives
+0.7710790796855151 on one thread, ...154 on two).  Each phase pivots one
 dense array in place: phase 1 the standard form laid out as
 [A | artificials | b], phase 2 [B^-1 A | B^-1 b] rebuilt from the original
-data at the phase boundary.  The returned point is recomputed from the
-final basis, so rank-1 update drift never reaches the caller.  The arrays
+data at the phase boundary.  solve_lp recomputes the returned point from
+the final basis, so rank-1 update drift never reaches its caller;
+check_feasible reads its point off the pivoted phase-1 tableau.  The arrays
 are dense, but the work follows the sparsity of the LPs' block structure: a
 pivot touches only the nonzero rows and columns of its update, and pricing
 reads only the basic rows that carry cost.

@@ -56,7 +56,10 @@ class HPolytope:
         _require_finite(a=a, b=b)
         periods = self.aux_periods
         if periods is not None:
-            periods = tuple(periods)
+            try:
+                periods = tuple(periods)
+            except TypeError:
+                raise ValueError("aux_periods must be a list") from None
             if len(periods) != self.n_aux:
                 raise ValueError("aux_periods must have one entry per aux column")
             for p in periods:
@@ -324,13 +327,7 @@ def minkowski_candidate_vertices(vs):
     sums = vs[0].vertices
     for v in vs[1:]:
         sums = (sums[:, None, :] + v.vertices[None, :, :]).reshape(-1, horizon)
-    # Grid dedup: cheap and adequate since inputs are never 1e-7-close.
-    seen = {}
-    for x in sums:
-        key = tuple(np.round(x / VERTEX_DEDUP_TOL).astype(np.int64))
-        if key not in seen:
-            seen[key] = x
-    verts = np.array(list(seen.values()))
+    verts = _dedup(sums)
     order = np.lexsort(verts.T[::-1])
     return VPolytope(verts[order])
 
@@ -365,14 +362,22 @@ def _field(obj, key, default=_REQUIRED):
 
 
 def _number(obj, key, default=_REQUIRED, kind=float):
-    """_field converted by kind; an absent optional key gives the default as is."""
+    """_field converted by kind; an absent optional key gives the default as is.
+
+    An int field takes only finite integral numbers.
+    """
     value = _field(obj, key, default)
     if key not in obj:
         return value
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"'{key}' must be a number, got {value!r}") from None
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError(f"'{key}' must be an integer, got {value!r}")
+        return int(number)
+    return number
 
 
 def _floats(obj, key):

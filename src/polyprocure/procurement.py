@@ -430,6 +430,15 @@ def _items(obj, key):
     return value
 
 
+def _battery_from_json(spec, horizon):
+    """A battery entry; its own horizon overrides the one passed in."""
+    t = _number(spec, "horizon", horizon, int)
+    if t is None:
+        raise ValueError("needs a horizon here or at the top level")
+    return BatterySpec(_number(spec, "capacity"), _number(spec, "rate"),
+                       _number(spec, "soc", 0.0), t)
+
+
 def resource_from_json(entry, horizon=None):
     """One resource entry; a malformed one raises ValueError naming the key."""
     price = _number(entry, "price")
@@ -439,12 +448,7 @@ def resource_from_json(entry, horizon=None):
     kind = keys[0]
     if kind == "battery":
         with _at("battery"):
-            spec = entry["battery"]
-            t = _number(spec, "horizon", horizon, int)
-            if t is None:
-                raise ValueError("needs a horizon here or at the top level")
-            p = battery_set(BatterySpec(_number(spec, "capacity"), _number(spec, "rate"),
-                                        _number(spec, "soc", 0.0), t))
+            p = battery_set(_battery_from_json(entry["battery"], horizon))
     elif kind == "hrep":
         p = polytope_from_json({"hrep": entry["hrep"]})
     elif kind == "instances":
@@ -463,7 +467,10 @@ def resource_from_json(entry, horizon=None):
                                      _number(job, "deadline", kind=int),
                                      _number(job, "work")))
         p = batch_workload_set(jobs, horizon)
-    return Resource(p, price, bool(entry.get("scalable", True)))
+    scalable = _field(entry, "scalable", True)
+    if not isinstance(scalable, bool):
+        raise ValueError(f"'scalable' must be true or false, got {scalable!r}")
+    return Resource(p, price, scalable)
 
 
 def resources_from_json(obj):

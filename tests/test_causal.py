@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polyprocure.causal import (
     AffinePolicy,
     DispatchRangeError,
-    ScenarioTree,
     build_block_policy,
     build_scenario_tree,
     causal_feasibility,
@@ -64,29 +63,39 @@ class TestTree:
     def test_shared_prefix_merges(self):
         tree = build_scenario_tree([[1, 1, -2], [1, 1, 4]])
         assert tree.n_nodes == 5  # root + two shared + two leaves
-        assert len(tree.leaves()) == 2
-        depths = [n.depth for n in tree.nodes]
-        assert depths == [0, 1, 2, 3, 3]
+        assert tree.n_scenarios == 2
+        assert len(set(tree.paths[:, -1])) == 2
+        assert tree.depth.tolist() == [0, 1, 2, 3, 3]
 
     def test_tolerance_merging(self):
         tree = build_scenario_tree([[1.0, 2.0], [1.0 + 1e-12, 2.5]])
-        assert sum(n.depth == 1 for n in tree.nodes) == 1
+        assert np.sum(tree.depth == 1) == 1
+        assert tree.paths[0, 0] == tree.paths[1, 0]
 
     def test_distinct_first_step_branches(self):
         tree = build_scenario_tree([[1.0, 2.0], [2.0, 2.0]])
-        assert sum(n.depth == 1 for n in tree.nodes) == 2
-        assert len(tree.leaves()) == 2
+        assert np.sum(tree.depth == 1) == 2
+        assert len(set(tree.paths[:, -1])) == 2
 
     def test_path_reconstructs_signal(self):
         signals = [[1, 1, -2], [1, 1, 4], [0, 0, 0]]
         tree = build_scenario_tree(signals)
-        for s, leaf in enumerate(tree.scenario_leaves):
-            values = [tree.nodes[nid].value for nid in tree.path(leaf)]
-            assert values == list(map(float, signals[s]))
+        assert tree.value[tree.paths].tolist() == np.asarray(signals, float).tolist()
+        assert np.all(tree.depth[tree.paths] == np.arange(1, 4))
 
     def test_duplicate_signal_shares_leaf(self):
         tree = build_scenario_tree([[1, 2], [1, 2]])
-        assert tree.scenario_leaves[0] == tree.scenario_leaves[1]
+        assert tree.n_scenarios == 2
+        assert tree.paths[0].tolist() == tree.paths[1].tolist()
+        assert tree.n_nodes == 3
+
+    def test_first_seen_numbering(self):
+        # Ids follow the scenarios in order, depth by depth within each;
+        # the causal-check report keys its nodes by these ids.
+        tree = build_scenario_tree([[1, 2, 3], [1, 5, 6], [0, 2, 3], [1, 2, 7]])
+        assert tree.paths.tolist() == [[1, 2, 3], [1, 4, 5], [6, 7, 8], [1, 2, 9]]
+        assert tree.value.tolist() == [0, 1, 2, 3, 5, 6, 0, 2, 3, 7]
+        assert tree.depth.tolist() == [0, 1, 2, 3, 2, 3, 1, 2, 3, 3]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -129,6 +138,20 @@ class TestCausalFeasibility:
         for s, sig in enumerate(signals):
             assert verify_dispatch(check.trajectories[s], BATTERY_RESOURCES,
                                    [2.0, 2.0], signal=sig)
+
+    def test_trajectories_read_node_outputs(self):
+        signals = [[1, 1, -2], [0.5, -0.5, 1], [1, 1, 4], [1, 1, -2]]
+        tree = build_scenario_tree(signals)
+        check = causal_feasibility(tree, BATTERY_RESOURCES, [2.0, 2.0])
+        assert check.feasible
+        assert check.node_outputs.shape == (tree.n_nodes, 2)
+        assert np.all(check.node_outputs[0] == 0.0)
+        assert np.array_equal(check.trajectories,
+                              check.node_outputs[tree.paths].transpose(0, 2, 1))
+        # Outputs at each node split that node's signal value, so each
+        # scenario's trajectories add up to its signal.
+        assert np.allclose(check.node_outputs[1:].sum(axis=1), tree.value[1:])
+        assert np.allclose(check.trajectories.sum(axis=1), signals)
 
     def test_shared_prefix_shares_outputs(self):
         tree = build_scenario_tree([[1, 1, -2], [1, 1, 4]])

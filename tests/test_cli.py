@@ -74,6 +74,27 @@ MALFORMED_INSTANCES = [
                    "aux_periods": ["x"]}, "price": 1},
          BATTERY_INSTANCE["resources"][1]]},
      "resources[0]: hrep: aux period 'x'"),
+    ("aux periods not a list",
+     {**BATTERY_INSTANCE, "resources": [
+         {"hrep": {"A": [[1, 0, 0, 0]], "b": [1], "horizon": 3, "aux": 1,
+                   "aux_periods": 5}, "price": 1},
+         BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: hrep: aux_periods must be a list"),
+    # "false" once read as true.
+    ("scalable as a string",
+     {**CLOUD_INSTANCE, "resources": [CLOUD_INSTANCE["resources"][0], {
+         **CLOUD_INSTANCE["resources"][1], "scalable": "false"}]},
+     "resources[1]: 'scalable' must be true or false, got 'false'"),
+    # Integer fields once raised an OverflowError on Infinity and cut 2.5 to 2.
+    ("infinite horizon", {**CLOUD_INSTANCE, "horizon": float("inf")},
+     "'horizon' must be an integer, got inf"),
+    ("fractional horizon", {**CLOUD_INSTANCE, "horizon": 2.5},
+     "'horizon' must be an integer, got 2.5"),
+    ("infinite job arrival",
+     {**CLOUD_INSTANCE, "resources": [CLOUD_INSTANCE["resources"][0], {
+         **CLOUD_INSTANCE["resources"][1],
+         "jobs": [{"arrival": float("inf"), "deadline": 2, "work": 1}]}]},
+     "resources[1]: jobs[0]: 'arrival' must be an integer"),
 ]
 
 
@@ -231,24 +252,38 @@ class TestPocSweep:
         assert main(["poc-sweep", path, "--kappa", "1:1:1"]) == EXIT_PRECONDITION
 
 
-    @pytest.mark.parametrize("spec, message", [
-        pytest.param([SWEEP_SPEC], "sweep spec must be a JSON object", id="top-level array"),
-        pytest.param({**SWEEP_SPEC, "batteries": {"capacity": 1, "rate": 1}},
+    @pytest.mark.parametrize("spec, kappa, message", [
+        pytest.param([SWEEP_SPEC], "1:2:1", "sweep spec must be a JSON object",
+                     id="top-level array"),
+        pytest.param({**SWEEP_SPEC, "batteries": {"capacity": 1, "rate": 1}}, "1:2:1",
                      "'batteries' must be an array", id="batteries as an object"),
         pytest.param({**SWEEP_SPEC, "batteries": [{"capacity": 1, "rate": 1}, {"rate": 1}]},
-                     "batteries[1]: missing 'capacity'", id="battery without capacity"),
-        pytest.param({**SWEEP_SPEC, "batteries": ["battery", "battery"]},
+                     "1:2:1", "batteries[1]: missing 'capacity'",
+                     id="battery without capacity"),
+        pytest.param({**SWEEP_SPEC, "batteries": ["battery", "battery"]}, "1:2:1",
                      "batteries[0]: expected an object", id="battery as a string"),
-        pytest.param({k: v for k, v in SWEEP_SPEC.items() if k != "horizon"},
+        pytest.param({k: v for k, v in SWEEP_SPEC.items() if k != "horizon"}, "1:2:1",
                      "batteries[0]: needs a horizon", id="no horizon"),
-        pytest.param({**SWEEP_SPEC, "prices": [1, {}]},
+        pytest.param({**SWEEP_SPEC, "prices": [1, {}]}, "1:2:1",
                      "'prices' must be a numeric array", id="price as an object"),
-        pytest.param({**SWEEP_SPEC, "kappa_index": "x"},
+        pytest.param({**SWEEP_SPEC, "kappa_index": "x"}, "1:2:1",
                      "'kappa_index' must be a number", id="kappa index not a number"),
+        # json reads 1e400 as Infinity
+        pytest.param({**SWEEP_SPEC, "kappa_index": float("inf")}, "1:2:1",
+                     "'kappa_index' must be an integer", id="kappa index 1e400"),
+        pytest.param({**SWEEP_SPEC, "horizon": 2.5}, "1:2:1",
+                     "'horizon' must be an integer, got 2.5", id="fractional horizon"),
+        pytest.param(SWEEP_SPEC, "0:inf:1",
+                     "grid 0:inf:1 must have a finite start, stop and step",
+                     id="infinite kappa grid"),
+        pytest.param(SWEEP_SPEC, "nan:1:1",
+                     "grid nan:1:1 must have a finite start, stop and step",
+                     id="NaN kappa grid"),
     ])
-    def test_malformed_spec_exits_with_one_line(self, tmp_path, capsys, spec, message):
+    def test_malformed_spec_exits_with_one_line(self, tmp_path, capsys, spec, kappa,
+                                                message):
         path = write_json(tmp_path, "sweep.json", spec)
-        assert main(["poc-sweep", path, "--kappa", "1:2:1"]) == EXIT_USAGE
+        assert main(["poc-sweep", path, "--kappa", kappa]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -346,6 +381,17 @@ class TestCostAlloc:
                      "--aggregate", str(agg)]) == EXIT_OK
         rep = RunReport.from_json(capsys.readouterr().out)
         assert rep.results["shares"] == [pytest.approx(2.0)]
+
+
+    @pytest.mark.parametrize("jss", ["nan", "inf", "-inf"])
+    def test_malformed_jss_exits_with_one_line(self, tmp_path, capsys, jss):
+        # Once printed NaN or Infinity shares, which are not JSON, with exit 0.
+        path = tmp_path / "parts.csv"
+        path.write_text("d1,d2\n1,0\n0,1\n")
+        assert main(["cost-alloc", str(path), f"--jss={jss}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: jss must be finite, got {float(jss)}\n"
 
 
 class TestDemand:
