@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import FEAS_TOL, check_feasible
-from .polytope import contains_point
+from .polytope import _has_bool, contains_point
 from .procurement import PreconditionError, _coverage_lp
 
 PREFIX_TOL = 1e-9
@@ -190,37 +190,30 @@ class DispatchRangeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Block:
-    owner: int      # original battery index
-    start: float
-    size: float
-    kind: str       # "single", "first", "second"
-
-
-@dataclass(frozen=True)
 class BlockSchedule:
-    blocks: tuple
+    """Blocks along the aggregate fill axis, one array entry per block:
+    block k belongs to battery ``owner[k]`` and covers fills
+    [start[k], start[k] + size[k]]."""
+
+    owner: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
     batteries: tuple
     alphas: np.ndarray
     initial_fill: float
     total: float
-    split_ledger: tuple
+
+    def fills(self, x):
+        """Per-battery share of the aggregate fill x."""
+        return np.bincount(self.owner, np.clip(x - self.start, 0.0, self.size),
+                           minlength=len(self.batteries))
 
     def required_soc(self):
         """Initial state of charge (fraction of procured capacity) each
         battery must start at for the schedule to work from initial_fill."""
-        fills = self._fills(self.initial_fill)
-        out = np.zeros(len(self.batteries))
-        for i, (spec, a) in enumerate(zip(self.batteries, self.alphas)):
-            cap = a * spec.capacity
-            out[i] = fills[i] / cap if cap > 1e-12 else 0.0
-        return out
-
-    def _fills(self, x):
-        fills = np.zeros(len(self.batteries))
-        for blk in self.blocks:
-            fills[blk.owner] += np.clip(x - blk.start, 0.0, blk.size)
-        return fills
+        caps = self.alphas * np.array([b.capacity for b in self.batteries])
+        return np.divide(self.fills(self.initial_fill), caps,
+                         out=np.zeros(caps.size), where=caps > 1e-12)
 
 
 def build_block_policy(batteries, alphas):
@@ -254,46 +247,26 @@ def build_block_policy(batteries, alphas):
                 f"battery {i} has rate above capacity; its two-pass gap "
                 "argument fails")
 
-    # virtual parts: (owner, cap, rate, part kind) at unit alpha
-    singles = []    # cap <= rate: one block of cap
-    doubles = []    # cap >= 2 * rate: two blocks of rate
-    split_ledger = []
-    for i, b in enumerate(batteries):
-        if alphas[i] <= 1e-12:
-            continue
-        c, r = b.capacity, b.rate
-        if c <= r + 1e-12:
-            singles.append((i, c, "single"))
-        elif c >= 2 * r - 1e-12:
-            doubles.append((i, r, c / r, "first"))
-        else:
-            balanced = 2 * r - c     # part with cap = rate
-            rest_rate = c - r        # part with cap = 2 * rate
-            singles.append((i, balanced, "single"))
-            doubles.append((i, rest_rate, 2.0, "first"))
-            split_ledger.append({"battery": i,
-                                 "balanced_capacity": balanced,
-                                 "double_rate": rest_rate})
-    doubles.sort(key=lambda d: (-d[2], d[0]))
+    # Unit-alpha parts: cap <= rate is one block of cap; cap >= 2 * rate is
+    # two blocks of rate; in between, a block of 2 * rate - cap plus two
+    # blocks of cap - rate.  Two-block parts sort by falling cap / rate
+    # (2 for a split battery), then by index.
+    single = caps <= rates + 1e-12
+    double = ~single & (caps >= 2 * rates - 1e-12)
+    procured = alphas > 1e-12
+    ones = np.flatnonzero(procured & ~double)
+    twos = np.flatnonzero(procured & ~single)
+    ones_part = np.where(single, caps, 2 * rates - caps)[ones]
+    twos_part = np.where(double, rates, caps - rates)[twos]
+    order = np.argsort(-np.where(double, caps / rates, 2.0)[twos], kind="stable")
+    twos, twos_part = twos[order], twos_part[order]
 
-    blocks = []
-    cursor = 0.0
-
-    def push(owner, size, kind):
-        nonlocal cursor
-        blocks.append(Block(owner, cursor, size, kind))
-        cursor += size
-
-    for owner, rate, _, _ in doubles:
-        push(owner, alphas[owner] * rate, "first")
-    for owner, cap, kind in singles:
-        push(owner, alphas[owner] * cap, kind)
-    for owner, rate, _, _ in doubles:
-        push(owner, alphas[owner] * rate, "second")
-
+    owner = np.concatenate([twos, ones, twos])
+    size = alphas[owner] * np.concatenate([twos_part, ones_part, twos_part])
+    cursor = np.concatenate([[0.0], np.cumsum(size)])
     initial_fill = float(sum(b.soc * b.capacity for b in batteries))
-    return BlockSchedule(tuple(blocks), batteries, alphas, initial_fill,
-                         float(cursor), tuple(split_ledger))
+    return BlockSchedule(owner, cursor[:-1], size, batteries, alphas,
+                         initial_fill, float(cursor[-1]))
 
 
 def dispatch_block(schedule, signal):
@@ -304,22 +277,19 @@ def dispatch_block(schedule, signal):
     since the layout guarantees them for any in-range signal.
     """
     signal = np.asarray(signal, dtype=float)
-    n = len(schedule.batteries)
-    powers = np.zeros((n, signal.size))
+    limits = schedule.alphas * np.array([b.rate for b in schedule.batteries])
+    powers = np.zeros((limits.size, signal.size))
     x = schedule.initial_fill
-    fills = schedule._fills(x)
+    fills = schedule.fills(x)
     for t, e in enumerate(signal):
         x_new = x + e
         if x_new < -FEAS_TOL or x_new > schedule.total + FEAS_TOL:
             raise DispatchRangeError(t + 1, x_new)
         x_new = min(max(x_new, 0.0), schedule.total)
-        new_fills = schedule._fills(x_new)
-        step = new_fills - fills
-        for i in range(n):
-            limit = schedule.alphas[i] * schedule.batteries[i].rate
-            assert abs(step[i]) <= limit + 1e-7, \
-                f"battery {i} asked for {step[i]} against rate {limit}"
-        powers[:, t] = step
+        new_fills = schedule.fills(x_new)
+        powers[:, t] = step = new_fills - fills
+        assert np.all(np.abs(step) <= limits + 1e-7), \
+            f"steps {step} exceed the rate limits {limits}"
         fills = new_fills
         x = x_new
     return powers
@@ -332,6 +302,8 @@ def read_signals(path):
         with open(path) as fh:
             signals = json.load(fh)
         try:
+            if _has_bool(signals):
+                raise TypeError
             return np.atleast_2d(np.asarray(signals, dtype=float))
         except (TypeError, ValueError):
             raise ValueError(f"{path} must hold an array of numeric arrays") from None

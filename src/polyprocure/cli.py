@@ -217,11 +217,6 @@ def cmd_causal_check(args):
     started = time.perf_counter()
     resources = resources_from_json(_load_json(args.instance))
     signals = read_signals(args.scenarios)
-    if args.alpha is None:
-        raise UsageError("--alpha is required (one value per resource)")
-    if len(args.alpha) != len(resources):
-        raise UsageError(f"{len(resources)} resources need {len(resources)} "
-                         "alpha values")
     tree = build_scenario_tree(signals)
     check = causal_feasibility(tree, resources, args.alpha)
     results = {"verdict": "feasible" if check.feasible else "infeasible",
@@ -274,10 +269,7 @@ def _load_dataset(args):
 
 def cmd_demand(args):
     started = time.perf_counter()
-    ds = _load_dataset(args)
-    if not 0 < args.train < ds.n_samples:
-        raise UsageError("--train must leave both splits nonempty")
-    train, val = split(ds, args.train)
+    train, val = split(_load_dataset(args), args.train)
     model = build_model(train, delta=args.delta, center=args.center)
 
     if args.mode == "build":
@@ -288,8 +280,6 @@ def cmd_demand(args):
         return EXIT_OK
 
     grid = _parse_grid(args.delta_grid) if args.delta_grid else [model.delta]
-    if grid[0] < 1.0:
-        raise UsageError("inflation grid must start at 1.0 or above")
     curve = coverage_curve(model, val, grid)
     _emit_csv(["delta", "coverage"], curve, args.out)
     return EXIT_OK
@@ -331,7 +321,7 @@ def build_parser():
                        help="scenario-tree causal coverage verdict")
     p.add_argument("instance", help="instance JSON (resources are used)")
     p.add_argument("scenarios", help="signals as CSV rows or a JSON array")
-    p.add_argument("--alpha", type=float, nargs="+",
+    p.add_argument("--alpha", type=float, nargs="+", required=True,
                    help="procured amount per resource")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_causal_check)

@@ -63,8 +63,8 @@ class HPolytope:
             if len(periods) != self.n_aux:
                 raise ValueError("aux_periods must have one entry per aux column")
             for p in periods:
-                if p is not None and not (isinstance(p, (int, np.integer))
-                                          and 1 <= p <= self.horizon):
+                if p is not None and (isinstance(p, bool) or not (
+                        isinstance(p, (int, np.integer)) and 1 <= p <= self.horizon)):
                     raise ValueError(f"aux period {p!r} is not an integer in "
                                      f"1..{self.horizon}")
         object.__setattr__(self, "a", a)
@@ -174,39 +174,19 @@ def batch_workload_set(jobs, horizon):
         if job.deadline > t:
             raise ValueError(f"job deadline {job.deadline} exceeds horizon {t}")
     m = len(jobs)
-    n = t + m * t
-    rows = []
-    rhs = []
-
-    def aux(j, k):
-        return t + j * t + k
-
-    for k in range(t):
-        row = np.zeros(n)
-        row[k] = 1.0
-        for j in range(m):
-            row[aux(j, k)] = 1.0
-        rows.append(row)       # s_k + sum_j r_jk <= 0
-        rows.append(-row)      # and >= 0: the output is exactly -sum r
-        rhs.extend([0.0, 0.0])
-    for j, job in enumerate(jobs):
-        row = np.zeros(n)
-        row[aux(j, 0):aux(j, 0) + t] = 1.0
-        rows.append(row)
-        rows.append(-row)
-        rhs.extend([job.work, -job.work])
-    for j, job in enumerate(jobs):
-        for k in range(t):
-            inside = job.arrival - 1 <= k <= job.deadline - 1
-            row = np.zeros(n)
-            row[aux(j, k)] = 1.0
-            rows.append(row)
-            rhs.append(1.0 if inside else 0.0)
-            rows.append(-row)
-            rhs.append(0.0)
-    periods = tuple(k + 1 for _ in range(m) for k in range(t))
-    return HPolytope(np.array(rows), np.array(rhs), horizon=t, n_aux=m * t,
-                     aux_periods=periods)
+    eye = np.eye(t)
+    # s_k + sum_j r_jk = 0, sum_k r_jk = work_j, 0 <= r_jk <= [k in window j]
+    rows = np.block([[eye, np.tile(eye, (1, m))],
+                     [np.zeros((m, t)), np.kron(np.eye(m), np.ones((1, t)))],
+                     [np.zeros((m * t, t)), np.eye(m * t)]])
+    work = np.array([(job.work, -job.work) for job in jobs]).reshape(m, 2)
+    k = np.arange(1, t + 1)
+    window = np.array([(job.arrival <= k) & (k <= job.deadline) for job in jobs])
+    hi = np.concatenate([np.zeros(t), work[:, 0], window.ravel()])
+    lo = np.concatenate([np.zeros(t), work[:, 1], np.zeros(m * t)])
+    return HPolytope(np.stack([rows, -rows], 1).reshape(-1, t + m * t),
+                     np.stack([hi, lo], 1).ravel(), horizon=t, n_aux=m * t,
+                     aux_periods=tuple(np.tile(k, m).tolist()))
 
 
 def scale(p, alpha):
@@ -370,6 +350,8 @@ def _number(obj, key, default=_REQUIRED, kind=float):
     if key not in obj:
         return value
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"'{key}' must be a number, got {value!r}") from None
@@ -380,9 +362,18 @@ def _number(obj, key, default=_REQUIRED, kind=float):
     return number
 
 
+def _has_bool(value):
+    """Whether a JSON boolean sits anywhere in value; float(True) is 1.0."""
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
+
+
 def _floats(obj, key):
     value = _field(obj, key)
     try:
+        if _has_bool(value):
+            raise TypeError
         return np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"'{key}' must be a numeric array") from None

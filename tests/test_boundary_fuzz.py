@@ -7,6 +7,7 @@ The mutation drops it, swaps its type, or puts NaN, +-Infinity, 1e400, a
 negative or a fraction in its place.  Whatever it is, the command must exit
 with a documented code (0-4), print at most one line to stderr, raise nothing
 and warn nothing, and print strict JSON or finite CSV numbers if it reports.
+A JSON boolean where a number belongs must exit 1.
 """
 
 import copy
@@ -102,7 +103,7 @@ def _targets(argv):
 
 
 def _json_value(old, mutation):
-    number = old if isinstance(old, (int, float)) and not isinstance(old, bool) else 1
+    number = old if _is_number(old) else 1
     return {"string": "x", "list": [], "object": {}, "null": None, "bool": True,
             "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e400": _HUGE,
             "negative": -abs(number) or -1, "fraction": number + 0.5}[mutation]
@@ -176,6 +177,22 @@ def _run(argv, target, path, mutation, directory):
     return code, out.getvalue(), err.getvalue(), caught
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reads_number(argv, target, path):
+    """Whether the command reads the JSON field at path as a number."""
+    if target not in FILES or not target.endswith(".json"):
+        return False
+    if argv[0] == "causal-check" and path[:1] == ("demand",):
+        return False  # causal-check reads only the resources
+    value = FILES[target]
+    for key in path:
+        value = value[key]
+    return _is_number(value)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -199,11 +216,16 @@ def mutated_commands(draw):
 @example((COMMANDS[4], 3, (0,), "nan"))
 @example((COMMANDS[4], 3, (0,), "inf"))
 @example((COMMANDS[5], 8, (0,), "nan"))
+# Each of these once read true as the number 1 and exited 0.
+@example((COMMANDS[0], "instance.json", ("resources", 0, "battery", "capacity"), "bool"))
+@example((COMMANDS[0], "instance.json", ("resources", 3, "hrep", "aux_periods", 0), "bool"))
 def test_mutated_input_exits_cleanly(case):
     argv, target, path, mutation = case
     with tempfile.TemporaryDirectory() as directory:
         code, out, err, caught = _run(argv, target, path, mutation, directory)
     assert code in range(5), code
+    if mutation == "bool" and _reads_number(argv, target, path):
+        assert code == 1, (code, out)
     assert err.count("\n") <= 1, err
     assert not caught, [str(w.message) for w in caught]
     if code in (0, 2) and (argv[0] == "poc-sweep" or "coverage" in argv):

@@ -16,7 +16,7 @@ from polyprocure.causal import (
     read_signals,
     verify_dispatch,
 )
-from polyprocure.lp import LpStatus
+from polyprocure.lp import FEAS_TOL, LpStatus
 from polyprocure.polytope import (
     BatchJob,
     BatterySpec,
@@ -275,6 +275,79 @@ class TestAffinePolicy:
         assert np.max(np.abs(out.sum(axis=0) - e)) < 1e-12
 
 
+def reference_layout(batteries, alphas):
+    """The per-block loop the array layout replaced: (owner, start, size)
+    triples in fill order, and the total."""
+    singles, doubles = [], []
+    for i, b in enumerate(batteries):
+        if alphas[i] <= 1e-12:
+            continue
+        c, r = b.capacity, b.rate
+        if c <= r + 1e-12:
+            singles.append((i, c))
+        elif c >= 2 * r - 1e-12:
+            doubles.append((i, r, c / r))
+        else:
+            singles.append((i, 2 * r - c))
+            doubles.append((i, c - r, 2.0))
+    doubles.sort(key=lambda d: (-d[2], d[0]))
+    parts = [d[:2] for d in doubles] + singles + [d[:2] for d in doubles]
+    blocks, cursor = [], 0.0
+    for owner, part in parts:
+        size = alphas[owner] * part
+        blocks.append((owner, cursor, size))
+        cursor += size
+    return blocks, cursor
+
+
+def reference_fills(blocks, n, x):
+    fills = np.zeros(n)
+    for owner, start, size in blocks:
+        fills[owner] += np.clip(x - start, 0.0, size)
+    return fills
+
+
+def reference_dispatch(blocks, total, n, initial_fill, signal):
+    """Powers of the per-block loop; a range exit raises as dispatch_block."""
+    powers = np.zeros((n, len(signal)))
+    x = initial_fill
+    fills = reference_fills(blocks, n, x)
+    for t, e in enumerate(signal):
+        x_new = x + e
+        if x_new < -FEAS_TOL or x_new > total + FEAS_TOL:
+            raise DispatchRangeError(t + 1, x_new)
+        x_new = min(max(x_new, 0.0), total)
+        new_fills = reference_fills(blocks, n, x_new)
+        powers[:, t] = new_fills - fills
+        fills = new_fills
+        x = x_new
+    return powers
+
+
+def random_block_fleet(rng):
+    """1-4 batteries over every capacity regime (cap = rate, cap >= 2 rate,
+    in between, and cap < rate left unprocured), soc 0 or 0.5, with alphas
+    scaled up until both aggregate rows hold."""
+    specs, alphas = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        rate = float(rng.uniform(0.5, 2.0))
+        regime = rng.integers(4)
+        cap = rate * float([1.0, rng.uniform(2.0, 4.0), rng.uniform(1.0, 2.0),
+                            rng.uniform(0.3, 0.9)][regime])
+        specs.append(BatterySpec(cap, rate, float(rng.choice([0.0, 0.5])), 3))
+        alphas.append(0.0 if regime == 3 or rng.random() < 0.2
+                      else float(rng.uniform(0.5, 3.0)))
+    alphas = np.array(alphas)
+    if not alphas.any():
+        specs[0] = BatterySpec(2 * specs[0].rate, specs[0].rate, 0.0, 3)
+        alphas[0] = 1.0
+    caps = np.array([s.capacity for s in specs])
+    rates = np.array([s.rate for s in specs])
+    grow = max(1.0, rates.sum() / (alphas @ rates),
+               caps.sum() / (alphas @ np.minimum(2 * rates, caps)))
+    return specs, alphas * grow
+
+
 class TestBlockSchedule:
     def worked_fleet(self):
         return [BatterySpec(1.5, 1, 0, 4),   # split: balanced 0.5 + double
@@ -283,15 +356,12 @@ class TestBlockSchedule:
 
     def test_worked_layout(self):
         sched = build_block_policy(self.worked_fleet(), [1.0, 1.0, 1.0])
-        kinds = [(b.owner, b.kind, b.size) for b in sched.blocks]
-        # split double part of battery 0 sorts before battery 1 (ratio tie)
-        assert kinds == [(0, "first", 0.5), (1, "first", 1.0),
-                         (0, "single", 0.5), (2, "single", 1.0),
-                         (0, "second", 0.5), (1, "second", 1.0)]
+        # split double part of battery 0 sorts before battery 1 (ratio tie);
+        # the balanced blocks sit between the two passes
+        assert sched.owner.tolist() == [0, 1, 0, 2, 0, 1]
+        assert sched.size.tolist() == [0.5, 1.0, 0.5, 1.0, 0.5, 1.0]
         assert sched.total == pytest.approx(4.5)
-        starts = [b.start for b in sched.blocks]
-        assert starts == pytest.approx([0.0, 0.5, 1.5, 2.0, 3.0, 3.5])
-        assert sched.split_ledger[0]["battery"] == 0
+        assert sched.start == pytest.approx([0.0, 0.5, 1.5, 2.0, 3.0, 3.5])
         assert sched.initial_fill == 0.0
         assert np.allclose(sched.required_soc(), 0.0)
 
@@ -304,7 +374,43 @@ class TestBlockSchedule:
         # a capacity-short battery is fine when it is not procured
         mixed = [BatterySpec(1, 2, 0, 3), BatterySpec(4, 2, 0, 3)]
         sched = build_block_policy(mixed, [0.0, 2.5])
-        assert all(b.owner == 1 for b in sched.blocks)
+        assert sched.owner.tolist() == [1, 1]
+        assert sched.size.tolist() == [5.0, 5.0]
+        assert sched.total == 10.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_per_block_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        specs, alphas = random_block_fleet(rng)
+        sched = build_block_policy(specs, alphas)
+        blocks, total = reference_layout(specs, sched.alphas)
+        assert sched.owner.tolist() == [b[0] for b in blocks]
+        assert np.array_equal(sched.start, [b[1] for b in blocks])
+        assert np.array_equal(sched.size, [b[2] for b in blocks])
+        assert sched.total == total
+        n = len(specs)
+        caps = sched.alphas * np.array([s.capacity for s in specs])
+        fills = reference_fills(blocks, n, sched.initial_fill)
+        assert np.array_equal(sched.required_soc(),
+                              [f / c if c > 1e-12 else 0.0
+                               for f, c in zip(fills, caps)])
+        rate = sum(s.rate for s in specs)
+        for k in range(6):
+            # odd k: a walk kept inside [0, total]; even k: a free walk
+            signal = rng.uniform(-rate, rate, size=4)
+            if k % 2:
+                x = np.clip(sched.initial_fill + np.cumsum(signal), 0.0, total)
+                signal = np.diff(x, prepend=sched.initial_fill)
+            try:
+                want = reference_dispatch(blocks, total, n,
+                                          sched.initial_fill, signal)
+            except DispatchRangeError as err:
+                with pytest.raises(DispatchRangeError) as got:
+                    dispatch_block(sched, signal)
+                assert got.value.period == err.period
+            else:
+                assert np.array_equal(dispatch_block(sched, signal), want)
 
     def test_required_soc_half(self):
         sched = build_block_policy([BatterySpec(2, 1, 0.5, 3)], [1.0])

@@ -95,6 +95,23 @@ MALFORMED_INSTANCES = [
          **CLOUD_INSTANCE["resources"][1],
          "jobs": [{"arrival": float("inf"), "deadline": 2, "work": 1}]}]},
      "resources[1]: jobs[0]: 'arrival' must be an integer"),
+    # float(True) is 1.0: each of these once ran as the number 1.
+    ("capacity as a boolean",
+     {**BATTERY_INSTANCE, "resources": [
+         {"battery": {"capacity": True, "rate": 3, "horizon": 3}, "price": 3},
+         BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: battery: 'capacity' must be a number, got True"),
+    ("horizon as a boolean", {**CLOUD_INSTANCE, "horizon": True},
+     "'horizon' must be a number, got True"),
+    ("aux period as a boolean",
+     {**BATTERY_INSTANCE, "resources": [
+         {"hrep": {"A": [[1, 0, 0, 0]], "b": [1], "horizon": 3, "aux": 1,
+                   "aux_periods": [True]}, "price": 1},
+         BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: hrep: aux period True"),
+    ("vertex as a boolean",
+     {**BATTERY_INSTANCE, "demand": {"vrep": {"vertices": [[True]]}}},
+     "demand: vrep: 'vertices' must be a numeric array"),
 ]
 
 
@@ -159,7 +176,7 @@ class TestJstar:
         for command in ("jstar", "causal-check")
         for what, instance, message in MALFORMED_INSTANCES
         # causal-check reads only the resources of an instance
-        if not (command == "causal-check" and what == "no demand")
+        if not (command == "causal-check" and "demand" in message)
     ])
     def test_malformed_instance_exits_with_one_line(self, tmp_path, capsys, command,
                                                     instance, message):
@@ -279,6 +296,13 @@ class TestPocSweep:
         pytest.param(SWEEP_SPEC, "nan:1:1",
                      "grid nan:1:1 must have a finite start, stop and step",
                      id="NaN kappa grid"),
+        pytest.param({**SWEEP_SPEC, "horizon": True}, "1:2:1",
+                     "'horizon' must be a number, got True", id="horizon as a boolean"),
+        pytest.param({**SWEEP_SPEC, "prices": [1, True]}, "1:2:1",
+                     "'prices' must be a numeric array", id="price as a boolean"),
+        pytest.param({**SWEEP_SPEC, "kappa_index": True}, "1:2:1",
+                     "'kappa_index' must be a number, got True",
+                     id="kappa index as a boolean"),
     ])
     def test_malformed_spec_exits_with_one_line(self, tmp_path, capsys, spec, kappa,
                                                 message):
@@ -342,11 +366,13 @@ class TestCausalCheck:
             assert sum(node["outputs"]) == pytest.approx(node["value"], abs=1e-7)
 
     @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
-                                      "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}"])
+                                      "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}",
+                                      "[[true, false, true]]"])
     def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
-        # "{}" goes in a .json file: a JSON object where an array of signals belongs
-        scen = tmp_path / ("scen.json" if text == "{}" else "scen.csv")
+        # JSON goes in a .json file: an object where an array of signals
+        # belongs, and booleans where numbers belong
+        scen = tmp_path / ("scen.json" if text.startswith(("{", "[")) else "scen.csv")
         scen.write_text(text)
         code = main(["causal-check", inst, str(scen), "--alpha", "1", "1"])
         assert code == EXIT_USAGE
@@ -354,6 +380,9 @@ class TestCausalCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        if text.startswith("["):
+            assert "must hold an array of numeric arrays" in captured.err
 
     def test_alpha_count_checked(self, tmp_path, capsys):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)

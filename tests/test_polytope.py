@@ -86,6 +86,37 @@ class TestBuilders:
             make()
 
 
+def looped_batch_workload_set(jobs, t):
+    """The reference rows and rhs of batch_workload_set, one row at a time,
+    each followed by its negation."""
+    m = len(jobs)
+    n = t + m * t
+    rows, rhs = [], []
+
+    def aux(j, k):
+        return t + j * t + k
+
+    for k in range(t):
+        row = np.zeros(n)
+        row[k] = 1.0
+        for j in range(m):
+            row[aux(j, k)] = 1.0
+        rows += [row, -row]
+        rhs += [0.0, 0.0]
+    for j, job in enumerate(jobs):
+        row = np.zeros(n)
+        row[aux(j, 0):aux(j, 0) + t] = 1.0
+        rows += [row, -row]
+        rhs += [job.work, -job.work]
+    for j, job in enumerate(jobs):
+        for k in range(t):
+            row = np.zeros(n)
+            row[aux(j, k)] = 1.0
+            rows += [row, -row]
+            rhs += [1.0 if job.arrival - 1 <= k <= job.deadline - 1 else 0.0, 0.0]
+    return np.array(rows).reshape(-1, n), np.array(rhs)
+
+
 class TestBatchWorkloads:
     JOBS = [BatchJob(arrival=1, deadline=2, work=1), BatchJob(arrival=1, deadline=4, work=2)]
 
@@ -131,6 +162,25 @@ class TestBatchWorkloads:
         p = batch_workload_set([], horizon=3)
         assert contains_point(p, [0, 0, 0])
         assert not contains_point(p, [0, 0, -0.01])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4))
+    def test_matches_per_row_loop(self, seed, t, m):
+        rng = np.random.default_rng(seed)
+        jobs = []
+        for _ in range(m):
+            arrival, deadline = np.sort(rng.integers(1, t + 1, 2))
+            window = int(deadline - arrival + 1)
+            # an int 0 beside float work keeps a +0.0 rhs in its negated row
+            work = [0, 0.0, window, rng.uniform(0, window)][rng.integers(4)]
+            jobs.append(BatchJob(int(arrival), int(deadline), work))
+        p = batch_workload_set(jobs, t)
+        rows, rhs = looped_batch_workload_set(jobs, t)
+        # signbit: each negated row keeps the -0.0 entries of the loop's
+        assert np.array_equal(p.a, rows) and np.array_equal(p.b, rhs)
+        assert np.array_equal(np.signbit(p.a), np.signbit(rows))
+        assert np.array_equal(np.signbit(p.b), np.signbit(rhs))
+        assert p.aux_periods == tuple(k + 1 for _ in range(m) for k in range(t))
 
     def test_overfull_job_rejected(self):
         with pytest.raises(ValueError):
