@@ -7,6 +7,7 @@ from .lp import (
     NumericalError,
     check_feasible,
     solve_lp,
+    solve_lp_costs,
 )
 from .polytope import (
     BatchJob,
@@ -34,6 +35,7 @@ from .procurement import (
     cover_scale,
     instance_from_json,
     minkowski_demand,
+    oracle_sweep,
     price_of_causality,
     proportional_bound,
     solve_oracle,

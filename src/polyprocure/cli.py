@@ -39,6 +39,7 @@ from .procurement import (
     battery_exact_procurement,
     instance_from_json,
     minkowski_demand,
+    oracle_sweep,
     price_of_causality,
     proportional_bound,
     resources_from_json,
@@ -193,15 +194,19 @@ def cmd_poc_sweep(args):
     base = [Resource(battery_set(b), p) for b, p in zip(batteries, prices)]
     demand = minkowski_demand(base)  # prices don't move the demand set
 
-    rows = []
+    price_rows = []
     for kappa in kappas:
         swept = list(prices)
         swept[kappa_index] = kappa
-        resources = tuple(Resource(r.set, p) for r, p in zip(base, swept))
-        jstar = solve_oracle(ProcurementInstance(resources, demand))
-        if not jstar.feasible:
-            raise PreconditionError("demand equals the fleet sum; the oracle "
-                                    "stage cannot be infeasible")
+        price_rows.append(swept)
+    # One oracle LP for the whole sweep: prices move only its objective.
+    oracle = oracle_sweep(ProcurementInstance(base, demand), price_rows)
+    if not all(jstar.feasible for jstar in oracle):
+        raise PreconditionError("demand equals the fleet sum; the oracle "
+                                "stage cannot be infeasible")
+
+    rows = []
+    for kappa, swept, jstar in zip(kappas, price_rows, oracle):
         jss = battery_exact_procurement(batteries, swept).cost
         try:
             poc = f"{price_of_causality(jstar.cost, jss):.12g}"

@@ -10,7 +10,13 @@ dense array in place: phase 1 the standard form laid out as
 [A | artificials | b], phase 2 [B^-1 A | B^-1 b] rebuilt from the original
 data at the phase boundary.  solve_lp recomputes the returned point from
 the final basis, so rank-1 update drift never reaches its caller;
-check_feasible reads its point off the pivoted phase-1 tableau.  The arrays
+check_feasible reads its point off the pivoted phase-1 tableau.
+solve_lp_costs solves one program under several objectives with one phase
+1: each later objective carries phase 2 on from the previous optimal
+tableau, and its result is returned only once its basis is certified
+primal feasible and optimal from the original data; otherwise that
+objective is solved again from a fresh rebuild.  solve_lp is its
+one-objective case.  The arrays
 are dense, but the work follows the sparsity of the LPs' block structure: a
 pivot touches only the nonzero rows and columns of its update, and pricing
 reads only the basic rows that carry cost.
@@ -165,10 +171,14 @@ class _Standard:
         self.basis[art_rows] = self.n_struct + np.arange(art_rows.size)
         tab[art_rows, self.basis[art_rows]] = 1.0
 
+        self.tab = tab
+
+    def costs(self, c):
+        """Objective c of the original variables, on the structural columns."""
         c_std = np.zeros(self.n_struct)
-        c_std[plus[has_plus]] += lp.c[has_plus]
-        c_std[minus[has_minus]] -= lp.c[has_minus]
-        self.tab, self.c = tab, c_std
+        c_std[self.plus[self.has_plus]] += c[self.has_plus]
+        c_std[self.minus[self.has_minus]] -= c[self.has_minus]
+        return c_std
 
     def point_from(self, y):
         x = self.offset.copy()
@@ -311,33 +321,79 @@ def _solve_or_lstsq(a, b):
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def solve_lp(lp):
-    """Classify the program and return an optimal basic solution if one exists."""
+def _certified(original, basis, c):
+    """x_B of basis, solved from the original rows [a | b], when the basis is
+    primal feasible and optimal for c there; None otherwise."""
+    b_mat = original[:, basis]
+    try:
+        x_b = np.linalg.solve(b_mat, original[:, -1])
+        y = np.linalg.solve(b_mat.T, c[basis])
+    except np.linalg.LinAlgError:
+        return None
+    reduced = c - y @ original[:, :-1]
+    if x_b.min(initial=0.0) < -FEAS_TOL or reduced.min(initial=0.0) < -FEAS_TOL:
+        return None
+    return x_b
+
+
+def solve_lp_costs(lp, costs):
+    """Solve lp under each objective in costs, in order: one LpSolution each.
+
+    The rows do not change, so the standard form and phase 1 are built once.
+    The first objective's phase 2 starts from a tableau rebuilt from the
+    original data at the phase-1 basis.  Each later one continues from the
+    previous optimal tableau, whose basis stays primal feasible; its result
+    is certified from the original data (x_B >= 0 and reduced costs >= 0,
+    both to FEAS_TOL).  If the certificate fails, or the carried tableau
+    reports unbounded, that objective is solved again on a fresh rebuild at
+    the phase-1 basis, exactly as the first.  Every objective gets the pivot
+    budget that solve_lp would give it alone.
+    """
+    costs = [np.asarray(c, dtype=float) for c in costs]
+    for c in costs:
+        if c.shape != lp.c.shape or not np.all(np.isfinite(c)):
+            raise ValueError(f"each objective needs {lp.n_vars} finite coefficients")
     std = _Standard(lp)
     original = std.tab[:, np.r_[:std.n_struct, -1]]  # [a | b], before phase 1 pivots it
     phase1 = _PhaseOne(std)
     if phase1.infeasible:
-        return LpSolution(LpStatus.INFEASIBLE)
+        return [LpSolution(LpStatus.INFEASIBLE) for _ in costs]
     phase1.drive_out_artificials()
 
     rows = np.flatnonzero(phase1.row_alive)
-    basis = phase1.basis[rows]
-    counter = phase1.counter
+    start = phase1.basis[rows]
+    spent = phase1.counter[0]
     del phase1, std.tab  # free the phase-1 tableau before phase 2 builds its own
-    # Fresh start for phase 2: rebuild the tableau from the original data so
-    # drift accumulated during phase 1 cannot leak forward.  Artificial
-    # columns are gone for good after the drive-out, and redundant rows go
-    # with them.
+    # Artificial columns are gone for good after the drive-out, and
+    # redundant rows go with them.
     original = original[rows]
-    tab = _solve_or_lstsq(original[:, basis], original)
-    np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
-    if _simplex(tab, std.c, basis, counter) == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED)
+    tab = basis = None
+    solutions = []
+    for c in costs:
+        c_std = std.costs(c)
+        x_b = None
+        if tab is not None and _simplex(tab, c_std, basis, [spent]) == "optimal":
+            x_b = _certified(original, basis, c_std)
+        if x_b is None:
+            # Fresh start: rebuild the tableau from the original data so drift
+            # accumulated earlier cannot leak forward.
+            basis = start.copy()
+            tab = _solve_or_lstsq(original[:, basis], original)
+            np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
+            if _simplex(tab, c_std, basis, [spent]) == "unbounded":
+                solutions.append(LpSolution(LpStatus.UNBOUNDED))
+                continue
+            x_b = _solve_or_lstsq(original[:, basis], original[:, -1])
+        # Read the answer off the final basis and the original data, not the
+        # pivoted tableau, so the returned point satisfies the constraints to
+        # factorization accuracy.
+        y = np.zeros(std.n_struct)
+        y[basis] = np.maximum(x_b, 0.0)
+        x = std.point_from(y)
+        solutions.append(LpSolution(LpStatus.OPTIMAL, x, float(c @ x)))
+    return solutions
 
-    # Read the answer off the final basis and the original data, not the
-    # pivoted tableau, so the returned point satisfies the constraints to
-    # factorization accuracy.
-    y = np.zeros(std.n_struct)
-    y[basis] = np.maximum(_solve_or_lstsq(original[:, basis], original[:, -1]), 0.0)
-    x = std.point_from(y)
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.c @ x))
+
+def solve_lp(lp):
+    """Classify the program and return an optimal basic solution if one exists."""
+    return solve_lp_costs(lp, [lp.c])[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import FEAS_TOL, LinearProgram, LpStatus, check_feasible, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, check_feasible, solve_lp_costs
 
 # Coordinate distance under which two vertices count as the same point.
 VERTEX_DEDUP_TOL = 1e-7
@@ -313,18 +313,18 @@ def minkowski_candidate_vertices(vs):
 
 
 def is_bounded(p):
-    """Maximize each signed output coordinate; all must come back Optimal."""
+    """Minimize each signed output coordinate; none may come back Unbounded.
+
+    One LP under 2T objectives, so phase 1 runs once.  An empty set comes
+    back Infeasible under every objective: vacuously bounded.
+    """
     n = p.horizon + p.n_aux
-    for t in range(p.horizon):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[t] = sign
-            sol = solve_lp(LinearProgram(c=c, a_le=p.a, b_le=p.b))
-            if sol.status is LpStatus.UNBOUNDED:
-                return False
-            if sol.status is LpStatus.INFEASIBLE:
-                return True  # empty set: vacuously bounded
-    return True
+    costs = np.zeros((2 * p.horizon, n))
+    t = np.arange(p.horizon)
+    costs[2 * t, t] = 1.0
+    costs[2 * t + 1, t] = -1.0
+    sols = solve_lp_costs(LinearProgram(c=np.zeros(n), a_le=p.a, b_le=p.b), costs)
+    return all(sol.status is not LpStatus.UNBOUNDED for sol in sols)
 
 
 _REQUIRED = object()

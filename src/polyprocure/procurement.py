@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import FEAS_TOL, LinearProgram, LpStatus, NumericalError, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, NumericalError, solve_lp, solve_lp_costs
 from .polytope import (
     BatchJob,
     BatterySpec,
@@ -185,12 +185,9 @@ def _private_nodes(verts):
     return np.arange(k * t).reshape(k, t)
 
 
-def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
-    """Cheapest procurement within a policy class: alpha is priced and the
-    non-scalable resources add their fixed price."""
-    lp, cols = _coverage_lp(inst.resources, _private_nodes(inst.demand.vertices),
-                            n_theta, trajectory, links, **bounds)
-    sol = solve_lp(lp)
+def _policy_result(inst, what, sol, cols, readout):
+    """The procurement that a policy LP's solution buys, at inst's prices:
+    alpha is priced and the non-scalable resources add their fixed price."""
     if sol.status is LpStatus.INFEASIBLE:
         return _infeasible()
     if sol.status is not LpStatus.OPTIMAL:
@@ -204,6 +201,13 @@ def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
                              readout(x[cols.theta], x, cols))
 
 
+def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
+    """Cheapest procurement within a policy class."""
+    lp, cols = _coverage_lp(inst.resources, _private_nodes(inst.demand.vertices),
+                            n_theta, trajectory, links, **bounds)
+    return _policy_result(inst, what, solve_lp(lp), cols, readout)
+
+
 def _place(block, n_theta, at=0):
     """T x n_theta map that is `block` in the columns from `at` on, zero elsewhere."""
     m = np.zeros((block.shape[0], n_theta))
@@ -211,8 +215,8 @@ def _place(block, n_theta, at=0):
     return m
 
 
-def solve_oracle(inst):
-    """Minimum cost when each demand vertex may be factorized independently.
+def _oracle_lp(inst):
+    """The oracle LP, its column plan and its certificate readout.
 
     The parameters are a free trajectory per resource per demand vertex
     (resource-major); conservation ties the trajectories to the vertex.
@@ -228,7 +232,40 @@ def solve_oracle(inst):
         return {"q": theta.reshape(n, k, t), "aux": [x[a] for a in cols.aux]}
 
     links = (np.tile(np.eye(k * t), (1, n)), verts.ravel())
-    return _solve_policy(inst, "oracle", readout, n * k * t, trajectory, links)
+    lp, cols = _coverage_lp(inst.resources, _private_nodes(verts), n * k * t,
+                            trajectory, links)
+    return lp, cols, readout
+
+
+def solve_oracle(inst):
+    """Minimum cost when each demand vertex may be factorized independently."""
+    lp, cols, readout = _oracle_lp(inst)
+    return _policy_result(inst, "oracle", solve_lp(lp), cols, readout)
+
+
+def oracle_sweep(inst, price_rows):
+    """solve_oracle at each row of resource prices (one price per resource),
+    in order; the instance's own prices are not used.
+
+    Prices do not move the oracle's rows, so its LP is assembled once and
+    solved under one objective per row with lp.solve_lp_costs.
+    """
+    swept = []
+    for row in price_rows:
+        if len(row) != inst.n_resources:
+            raise ValueError(f"each price row needs {inst.n_resources} prices")
+        resources = tuple(Resource(res.set, price, res.scalable)
+                          for res, price in zip(inst.resources, row))
+        swept.append(ProcurementInstance(resources, inst.demand))
+    lp, cols, readout = _oracle_lp(inst)
+    costs = []
+    for priced in swept:
+        c = lp.c.copy()
+        for i, col in cols.alpha.items():
+            c[col] = priced.resources[i].price
+        costs.append(c)
+    return [_policy_result(priced, "oracle", sol, cols, readout)
+            for priced, sol in zip(swept, solve_lp_costs(lp, costs))]
 
 
 def _max_proportion(p, verts):

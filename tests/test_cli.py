@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -22,7 +23,15 @@ from polyprocure.cli import (
     RunReport,
     main,
 )
-from polyprocure.lp import LpSolution, LpStatus
+from polyprocure.lp import FEAS_TOL, LpSolution, LpStatus
+from polyprocure.polytope import BatterySpec, battery_set
+from polyprocure.procurement import (
+    ProcurementInstance,
+    Resource,
+    battery_exact_procurement,
+    minkowski_demand,
+    solve_oracle,
+)
 
 BATTERY_INSTANCE = {
     "resources": [
@@ -232,7 +241,34 @@ class TestBounds:
         assert rep.results["prop"]["status"] == "infeasible"
 
 
+def looped_poc_sweep(spec, kappas):
+    """The reference poc-sweep CSV: one solve_oracle per kappa."""
+    t = spec["horizon"]
+    batteries = [BatterySpec(b["capacity"], b["rate"], 0.0, t) for b in spec["batteries"]]
+    base = [Resource(battery_set(b), p) for b, p in zip(batteries, spec["prices"])]
+    demand = minkowski_demand(base)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["kappa", "jstar", "jss", "poc"])
+    for kappa in kappas:
+        prices = list(spec["prices"])
+        prices[spec["kappa_index"]] = kappa
+        resources = tuple(Resource(r.set, p) for r, p in zip(base, prices))
+        jstar = solve_oracle(ProcurementInstance(resources, demand)).cost
+        jss = battery_exact_procurement(batteries, prices).cost
+        poc = f"{jss / jstar:.12g}" if jstar > FEAS_TOL else "NA"
+        writer.writerow([f"{kappa:.12g}", f"{jstar:.12g}", f"{jss:.12g}", poc])
+    return buf.getvalue()
+
+
 class TestPocSweep:
+    @pytest.mark.parametrize("kappa_index", [0, 1])
+    def test_byte_equal_to_per_kappa_oracle(self, tmp_path, kappa_index):
+        spec = {**SWEEP_SPEC, "kappa_index": kappa_index}
+        path, out = write_json(tmp_path, "sweep.json", spec), tmp_path / "sweep.csv"
+        assert main(["poc-sweep", path, "--kappa", "0:4:0.25", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == looped_poc_sweep(spec, [0.25 * i for i in range(17)]).encode()
+
     def test_reference_rows(self, tmp_path, capsys):
         path = write_json(tmp_path, "sweep.json", SWEEP_SPEC)
         assert main(["poc-sweep", path, "--kappa", "0.5:3:0.5"]) == EXIT_OK

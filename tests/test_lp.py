@@ -1,14 +1,23 @@
 """Solver checks: worked programs, brute-force and HiGHS cross-validation,
-the sparse pivot against a dense one, memory budgets."""
+the sparse pivot against a dense one, several objectives against one at a
+time, memory budgets, determinism."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyprocure
 from _fleets import random_fleet_instance
 from polyprocure import causal, lp as lp_module, procurement
 from polyprocure.causal import build_scenario_tree, causal_feasibility
@@ -19,6 +28,7 @@ from polyprocure.lp import (
     LpStatus,
     check_feasible,
     solve_lp,
+    solve_lp_costs,
 )
 from polyprocure.polytope import BatterySpec, battery_set
 from polyprocure.procurement import Resource, instance_from_json
@@ -86,6 +96,29 @@ def random_boxed_lp(rng, force_feasible=True):
     return LinearProgram(c=c, a_le=a_le, b_le=b_le, lower=lower, upper=upper, **kwargs)
 
 
+def random_lp_costs(rng, k=5):
+    """A small random program, each variable boxed, lower-bounded only,
+    upper-bounded only or free, with k objectives.  Over many draws every
+    verdict occurs: optimal, unbounded (the free and one-sided variables)
+    and infeasible (rows cut off the point x0 the data is built around)."""
+    n = rng.integers(2, 6)
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    x0 = np.round(rng.uniform(-2, 2, n), 2)
+    lower = np.where(kind <= 1, x0 - np.round(rng.uniform(0.1, 2, n), 2), -np.inf)
+    upper = np.where(kind % 2 == 0, x0 + np.round(rng.uniform(0.1, 2, n), 2), np.inf)
+    m_le = rng.integers(1, 6)
+    a_le = np.round(rng.normal(0, 1, (m_le, n)), 2)
+    low = -2.0 if rng.random() < 0.3 else 0.05
+    b_le = np.round(a_le @ x0 + rng.uniform(low, 1.5, m_le), 2)
+    kwargs = {}
+    if rng.random() < 0.4:
+        a_eq = np.round(rng.normal(0, 1, (1, n)), 2)
+        kwargs = {"a_eq": a_eq, "b_eq": np.round(a_eq @ x0, 4)}
+    costs = np.round(rng.normal(0, 2, (k, n)), 2)
+    return (LinearProgram(c=costs[0], a_le=a_le, b_le=b_le, lower=lower, upper=upper,
+                          **kwargs), costs)
+
+
 def assert_primal_feasible(lp, x, tol=10 * FEAS_TOL):
     assert np.all(np.abs(lp.a_eq @ x - lp.b_eq) <= tol)
     assert np.all(lp.b_le - lp.a_le @ x >= -tol)
@@ -126,6 +159,9 @@ def tree_check_lp(alpha):
                  for c, r, s in ((2.2, 0.9, 0.5), (1.8, 0.8, 0.4), (2.6, 1.0, 0.6))]
     return captured_lps(causal, "check_feasible", lambda: causal_feasibility(
         build_scenario_tree(np.array(signals)), resources, [alpha] * 3))[0]
+
+
+FIXTURE = Path(__file__).with_name("policy_bounds_120428386_1.json")
 
 
 def highs(lp):
@@ -292,15 +328,16 @@ class TestAgainstHighs:
                 compared += 1
 
     def test_fleet_lps_match_highs(self):
-        """The LPs that solve_oracle and tv_proportional_bound build on random
-        battery fleets."""
+        """The LPs that solve_oracle, tv_proportional_bound and affine_bound
+        build on random battery fleets."""
         rng = np.random.default_rng(17)
         lps = []
         for _ in range(10):
             _, _, inst = random_fleet_instance(rng)
-            for bound in (procurement.solve_oracle, procurement.tv_proportional_bound):
+            for bound in (procurement.solve_oracle, procurement.tv_proportional_bound,
+                          procurement.affine_bound):
                 lps += captured_lps(procurement, "solve_lp", lambda: bound(inst))
-        assert len(lps) == 20
+        assert len(lps) == 30
         optimal = 0
         for lp in lps:
             sol, ref = solve_lp(lp), highs(lp)
@@ -310,12 +347,114 @@ class TestAgainstHighs:
                 optimal += 1
         assert optimal >= 10
 
+    def test_affine_fixture_matches_highs(self):
+        """The policy-bounds instance of benchmark seed 120428386, job 1,
+        whose affine LP was once solved to 0.5938 (HiGHS: 0.6599), putting
+        the affine cost below J*."""
+        inst = instance_from_json(json.loads(FIXTURE.read_text()))
+        affine = []
+        lp = captured_lps(procurement, "solve_lp",
+                          lambda: affine.append(procurement.affine_bound(inst)))[0]
+        sol, ref = solve_lp(lp), highs(lp)
+        assert sol.status is LpStatus.OPTIMAL and ref.status == 0
+        assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+        assert sol.objective_value == pytest.approx(0.659853163131833, abs=1e-8)
+        assert_primal_feasible(lp, sol.point)
+        assert procurement.solve_oracle(inst).cost <= affine[0].cost
+
     @pytest.mark.parametrize("alpha", [1.0, 0.3])
     def test_tree_check_verdict_matches_highs(self, alpha):
         lp = tree_check_lp(alpha)
         ref = highs(lp)
         assert ref.status in (0, 2)
         assert check_feasible(lp).feasible is (ref.status == 0)
+
+
+def zero_columns(tab):
+    """A stale carried tableau: every column reads zero, so pricing sees the
+    bare costs.  A nonnegative objective stops at once at the old basis; one
+    with a negative cost finds an empty column and calls itself unbounded."""
+    tab[:, :-1] = 0.0
+
+
+def reverse_rhs(tab):
+    """A drifted carried tableau: the rhs column comes out in reverse row
+    order, so ratio tests pick the wrong leaving rows."""
+    tab[:, -1] = tab[::-1, -1].copy()
+
+
+class TestSolveCosts:
+    def test_matches_per_objective_solves_and_highs(self):
+        rng = np.random.default_rng(29)
+        seen = Counter()
+        for _ in range(80):
+            lp, costs = random_lp_costs(rng)
+            sols = solve_lp_costs(lp, costs)
+            assert len(sols) == len(costs)
+            for c, sol in zip(costs, sols):
+                one = replace(lp, c=c)
+                alone, ref = solve_lp(one), highs(one)
+                assert sol.status is alone.status is HIGHS_STATUS[ref.status]
+                if sol.status is LpStatus.OPTIMAL:
+                    assert sol.objective_value == pytest.approx(alone.objective_value, abs=1e-8)
+                    assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+                    assert sol.objective_value == pytest.approx(c @ sol.point, abs=1e-12)
+                    assert_primal_feasible(one, sol.point)
+                seen[sol.status] += 1
+        assert min(seen[status] for status in LpStatus) >= 30, seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_first_objective_bit_identical_to_solve_lp(self, seed):
+        lp, costs = random_lp_costs(np.random.default_rng(seed))
+        first, alone = solve_lp_costs(lp, costs)[0], solve_lp(lp)
+        assert first.status is alone.status
+        if alone.status is LpStatus.OPTIMAL:
+            assert first.objective_value == alone.objective_value  # exact
+            assert first.point.tobytes() == alone.point.tobytes()
+
+    def test_no_objectives(self):
+        lp, _ = random_lp_costs(np.random.default_rng(0))
+        assert solve_lp_costs(lp, []) == []
+
+    @pytest.mark.parametrize("cost", [[1.0], [1.0, np.nan]], ids=["short", "nan"])
+    def test_malformed_objective_rejected(self, cost):
+        lp = LinearProgram(c=[1.0, 1.0], lower=[0.0, 0.0])
+        with pytest.raises(ValueError, match="2 finite coefficients"):
+            solve_lp_costs(lp, [lp.c, cost])
+
+    @pytest.mark.parametrize("corrupt, sign", [(zero_columns, 1.0), (zero_columns, -1.0),
+                                               (reverse_rhs, 1.0)],
+                             ids=["stale-optimal", "stale-unbounded", "drifted"])
+    def test_corrupted_carry_is_rebuilt(self, monkeypatch, corrupt, sign):
+        """The second objective's phase 2 starts from a corrupted tableau; the
+        certificate must catch every wrong answer, and the rebuild must give
+        the answer of solving that objective alone."""
+        real_simplex = lp_module._simplex
+        calls = []
+
+        def corrupting(tab, c, basis, counter):
+            calls.append(None)
+            if len(calls) == 3:  # phase 1, the first phase 2, then the carried one
+                corrupt(tab)
+            return real_simplex(tab, c, basis, counter)
+
+        monkeypatch.setattr(lp_module, "_simplex", corrupting)
+        rng = np.random.default_rng(31)
+        rebuilt = 0
+        for _ in range(30):
+            lp = random_boxed_lp(rng)
+            c = sign * (np.abs(lp.c) + 0.5)  # opposite objectives: optima differ
+            calls.clear()
+            second = solve_lp_costs(lp, [-c, c])[1]
+            rebuilt += len(calls) == 4  # a fourth phase: the rebuild
+            with monkeypatch.context() as mp:
+                mp.setattr(lp_module, "_simplex", real_simplex)
+                alone = solve_lp(replace(lp, c=c))
+            assert second.status is alone.status is LpStatus.OPTIMAL
+            assert second.objective_value == pytest.approx(alone.objective_value, abs=1e-9)
+            assert_primal_feasible(lp, second.point)
+        assert rebuilt >= 10, f"rebuilt {rebuilt} of 30"
 
 
 class TestSparsePivot:
@@ -423,7 +562,69 @@ class TestMemory:
         assert traced_peak(solve_lp, lp) <= 3.5 * phase_one_tableau_bytes(lp)
 
 
+# Solves the fleet LPs of TestAgainstHighs, the fixture's oracle, tv and
+# affine LPs and one poc-sweep; prints the status and objective of every LP
+# that procurement.solve_lp solves, and the CSV.
+BLAS_CHILD = r"""
+import json, sys
+import numpy as np
+from _fleets import random_fleet_instance
+from polyprocure import lp, procurement
+from polyprocure.cli import main
+
+fixture, sweep, out = sys.argv[1:]
+sols = []
+procurement.solve_lp = lambda p: sols.append(lp.solve_lp(p)) or sols[-1]
+rng = np.random.default_rng(17)
+insts = [random_fleet_instance(rng)[2] for _ in range(10)]
+insts.append(procurement.instance_from_json(json.load(open(fixture))))
+for inst in insts:
+    for bound in (procurement.solve_oracle, procurement.tv_proportional_bound,
+                  procurement.affine_bound):
+        bound(inst)
+code = main(["poc-sweep", sweep, "--kappa", "0:4:0.25", "--out", out])
+print(json.dumps({"lps": [[s.status.value, s.objective_value] for s in sols],
+                  "code": code, "sweep": open(out).read()}))
+"""
+
+
+def run_blas_child(threads, tmp_path):
+    src = Path(polyprocure.__file__).parents[1]
+    tests = Path(__file__).parent
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"horizon": 3, "prices": [1.0, 1.0], "kappa_index": 1,
+                                 "batteries": [{"capacity": 1, "rate": 1},
+                                               {"capacity": 3, "rate": 1}]}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, str(FIXTURE), str(sweep),
+                           str(tmp_path / f"sweep{threads}.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestDeterminism:
+    def test_blas_thread_count(self, tmp_path):
+        """Bit-identity is promised only at a fixed BLAS thread count; across
+        counts the verdicts must agree and the objectives to 1e-9."""
+        one, two = run_blas_child(1, tmp_path), run_blas_child(2, tmp_path)
+        # 11 instances x 3 LPs, then the sweep's 17 aggregate battery LPs
+        assert len(one["lps"]) == len(two["lps"]) == 33 + 17
+        for (status1, value1), (status2, value2) in zip(one["lps"], two["lps"]):
+            assert status1 == status2
+            if status1 == "optimal":
+                assert value1 == pytest.approx(value2, rel=1e-9, abs=1e-12)
+        assert one["code"] == two["code"] == 0
+        rows1, rows2 = (sweep["sweep"].splitlines() for sweep in (one, two))
+        assert len(rows1) == len(rows2) == 18
+        for row1, row2 in zip(rows1[1:], rows2[1:]):
+            for cell1, cell2 in zip(row1.split(","), row2.split(",")):
+                if cell1 == "NA" or cell2 == "NA":
+                    assert cell1 == cell2
+                else:
+                    assert float(cell1) == pytest.approx(float(cell2), rel=1e-9, abs=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_repeat_solves_bit_identical(self, seed):

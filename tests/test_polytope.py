@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyprocure import polytope
+from polyprocure.lp import LinearProgram, LpStatus, solve_lp
 from polyprocure.polytope import (
     BatchJob,
     BatterySpec,
@@ -365,7 +366,45 @@ class TestMembership:
         assert convex_coefficients(v, [3, 3]) is None
 
 
+def looped_is_bounded(p):
+    """The reference: one LP per signed output coordinate, stopping at the
+    first verdict that settles the answer."""
+    n = p.horizon + p.n_aux
+    for t in range(p.horizon):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[t] = sign
+            sol = solve_lp(LinearProgram(c=c, a_le=p.a, b_le=p.b))
+            if sol.status is LpStatus.UNBOUNDED:
+                return False
+            if sol.status is LpStatus.INFEASIBLE:
+                return True  # empty set: vacuously bounded
+    return True
+
+
 class TestDiagnostics:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["bounded", "unbounded", "empty"]))
+    def test_matches_per_direction_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        t, n_aux = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        n = t + n_aux
+        # At most n rows around x0: a nonempty cone of recession directions
+        # with interior, so unbounded in the outputs.
+        m = int(rng.integers(1, n + 1))
+        a = np.round(rng.normal(size=(m, n)), 2)
+        x0 = rng.normal(size=n)
+        b = a @ x0 + rng.uniform(0.1, 1.0, m)
+        if kind == "bounded":  # add a box around x0
+            a = np.vstack([a, np.eye(n), -np.eye(n)])
+            b = np.concatenate([b, x0 + 2.0, 2.0 - x0])
+        elif kind == "empty":  # add r.x <= -1 and r.x >= 1
+            r = rng.normal(size=n)
+            a = np.vstack([a, r, -r])
+            b = np.concatenate([b, [-1.0, -1.0]])
+        p = HPolytope(a, b, t, n_aux)
+        assert is_bounded(p) is looped_is_bounded(p) is (kind != "unbounded")
+
     def test_builders_bounded(self):
         assert is_bounded(battery_set(BIG_BATTERY))
         assert is_bounded(batch_workload_set([BatchJob(1, 2, 1)], horizon=2))

@@ -25,6 +25,7 @@ from polyprocure.procurement import (
     cover_scale,
     instance_from_json,
     minkowski_demand,
+    oracle_sweep,
     price_of_causality,
     proportional_bound,
     solve_oracle,
@@ -118,6 +119,42 @@ class TestOracle:
         for price in (np.nan, np.inf):
             with pytest.raises(ValueError, match="price must be finite"):
                 Resource(FAST, price)
+
+
+class TestOracleSweep:
+    def test_matches_solve_oracle_per_price_row(self):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            _, _, inst = random_fleet_instance(rng)
+            # The last resource becomes non-scalable: its price is a constant.
+            last = inst.resources[-1]
+            inst = ProcurementInstance(
+                inst.resources[:-1] + (Resource(last.set, last.price, False),), inst.demand)
+            rows = rng.uniform(0.0, 3.0, (5, inst.n_resources))
+            rows[1, 0] = 0.0
+            for row, got in zip(rows, oracle_sweep(inst, rows)):
+                priced = ProcurementInstance(
+                    tuple(Resource(r.set, p, r.scalable) for r, p in zip(inst.resources, row)),
+                    inst.demand)
+                want = solve_oracle(priced)
+                assert got.status is want.status
+                if want.feasible:
+                    assert got.cost == pytest.approx(want.cost, abs=1e-9)
+                    # alpha need not be unique (a zero price); its cost is.
+                    assert got.cost == pytest.approx(row @ got.alphas, abs=1e-9)
+                    audit_factorization(priced, got)
+
+    def test_infeasible_rows(self):
+        inst = ProcurementInstance((Resource(SLOW, 1.0, scalable=False),),
+                                   VPolytope([[5, 0, 0]]))
+        assert [r.status for r in oracle_sweep(inst, [[1.0], [2.0]])] == \
+            [LpStatus.INFEASIBLE] * 2
+
+    @pytest.mark.parametrize("rows, message", [([[1.0]], "needs 2 prices"),
+                                               ([[1.0, 1.0], [1.0, -1.0]], "nonnegative")])
+    def test_bad_price_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            oracle_sweep(battery_pair(), rows)
 
 
 class TestCoverScale:
