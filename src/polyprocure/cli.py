@@ -12,7 +12,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ class RunReport:
     wall_time: float
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text):

@@ -5,21 +5,22 @@ with lowest-index tie-breaks, leaving rows picked for pivot size among
 minimal ratios, Bland's rule after a run of degenerate pivots), so a given
 program solves to bit-identical results at a fixed BLAS thread count (the
 thread count changes the order in which BLAS sums: one oracle LP gives
-0.7710790796855151 on one thread, ...154 on two).  Each phase pivots one
+0.7710790796855151 on one thread, ...154 on two).  Both phases pivot one
 dense array in place: phase 1 the standard form laid out as
-[A | artificials | b], phase 2 [B^-1 A | B^-1 b] rebuilt from the original
-data at the phase boundary.  solve_lp recomputes the returned point from
-the final basis, so rank-1 update drift never reaches its caller;
-check_feasible reads its point off the pivoted phase-1 tableau.
-solve_lp_costs solves one program under several objectives with one phase
-1: each later objective carries phase 2 on from the previous optimal
-tableau, and its result is returned only once its basis is certified
-primal feasible and optimal from the original data; otherwise that
-objective is solved again from a fresh rebuild.  solve_lp is its
-one-objective case.  The arrays
-are dense, but the work follows the sparsity of the LPs' block structure: a
-pivot touches only the nonzero rows and columns of its update, and pricing
-reads only the basic rows that carry cost.
+[A | artificials | b], phase 2 the same tableau without its artificial
+columns and redundant rows.  check_feasible reads its point off the
+pivoted phase-1 tableau.  solve_lp_costs solves one program under several
+objectives with one phase 1, and one rule for every objective: phase 2
+carries on from the tableau it inherits, and an optimal basis is returned
+only once it is certified primal feasible and optimal from the original
+data, whose x_B is then the returned point, so rank-1 update drift never
+reaches the caller.  A basis that fails the certificate, or a carried
+tableau that says unbounded, gets one rebuild from the original data at
+the phase-1 basis; a rebuilt basis that fails too raises NumericalError.
+solve_lp is the one-objective case.  The arrays are dense, but the work
+follows the sparsity of the LPs' block structure: a pivot touches only the
+nonzero rows and columns of its update, and pricing reads only the basic
+rows that carry cost.
 """
 
 import enum
@@ -314,13 +315,6 @@ def check_feasible(lp):
     return FeasibilityResult(True, std.point_from(phase1.structural_point()))
 
 
-def _solve_or_lstsq(a, b):
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
 def _certified(original, basis, c):
     """x_B of basis, solved from the original rows [a | b], when the basis is
     primal feasible and optimal for c there; None otherwise."""
@@ -340,14 +334,16 @@ def solve_lp_costs(lp, costs):
     """Solve lp under each objective in costs, in order: one LpSolution each.
 
     The rows do not change, so the standard form and phase 1 are built once.
-    The first objective's phase 2 starts from a tableau rebuilt from the
-    original data at the phase-1 basis.  Each later one continues from the
-    previous optimal tableau, whose basis stays primal feasible; its result
-    is certified from the original data (x_B >= 0 and reduced costs >= 0,
-    both to FEAS_TOL).  If the certificate fails, or the carried tableau
-    reports unbounded, that objective is solved again on a fresh rebuild at
-    the phase-1 basis, exactly as the first.  Every objective gets the pivot
-    budget that solve_lp would give it alone.
+    Every objective's phase 2 carries on from the tableau it inherits: the
+    first from phase 1's, each later one from the previous objective's,
+    whose basis stays primal feasible.  Every OPTIMAL result is certified
+    from the original data (x_B >= 0 and reduced costs >= 0, both to
+    FEAS_TOL), and that x_B is the returned point.  If the certificate
+    fails, or the carried tableau reports unbounded, the objective is solved
+    once more on a tableau rebuilt from the original data at the phase-1
+    basis; if that result fails its certificate too, NumericalError is
+    raised.  Every objective gets the pivot budget that solve_lp would give
+    it alone.
     """
     costs = [np.asarray(c, dtype=float) for c in costs]
     for c in costs:
@@ -360,33 +356,37 @@ def solve_lp_costs(lp, costs):
         return [LpSolution(LpStatus.INFEASIBLE) for _ in costs]
     phase1.drive_out_artificials()
 
-    rows = np.flatnonzero(phase1.row_alive)
-    start = phase1.basis[rows]
-    spent = phase1.counter[0]
-    del phase1, std.tab  # free the phase-1 tableau before phase 2 builds its own
-    # Artificial columns are gone for good after the drive-out, and
-    # redundant rows go with them.
-    original = original[rows]
-    tab = basis = None
+    # Phase 2 pivots phase 1's tableau on.  Artificial columns are gone for
+    # good after the drive-out, so the rhs moves into the first of them and
+    # the rest are sliced off without a copy.  Redundant rows go too.
+    tab, basis, keep, n = phase1.tab, phase1.basis, phase1.row_alive, std.n_struct
+    start, spent = basis[keep], phase1.counter[0]
+    del phase1, std.tab  # from here on only tab holds the phase-1 tableau
+    tab[:, n] = tab[:, -1]
+    tab = tab[:, :n + 1]
+    if not keep.all():
+        tab, basis, original = tab[keep], basis[keep], original[keep]
     solutions = []
     for c in costs:
         c_std = std.costs(c)
         x_b = None
-        if tab is not None and _simplex(tab, c_std, basis, [spent]) == "optimal":
+        if _simplex(tab, c_std, basis, [spent]) == "optimal":
             x_b = _certified(original, basis, c_std)
         if x_b is None:
-            # Fresh start: rebuild the tableau from the original data so drift
-            # accumulated earlier cannot leak forward.
-            basis = start.copy()
-            tab = _solve_or_lstsq(original[:, basis], original)
+            # Rebuild the tableau from the original data, dropping the
+            # carried one first, so its drift cannot leak forward.
+            tab, basis = None, start.copy()
+            try:
+                tab = np.linalg.solve(original[:, basis], original)
+            except np.linalg.LinAlgError:
+                raise NumericalError("phase-1 basis is singular on the original rows") from None
             np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
             if _simplex(tab, c_std, basis, [spent]) == "unbounded":
                 solutions.append(LpSolution(LpStatus.UNBOUNDED))
                 continue
-            x_b = _solve_or_lstsq(original[:, basis], original[:, -1])
-        # Read the answer off the final basis and the original data, not the
-        # pivoted tableau, so the returned point satisfies the constraints to
-        # factorization accuracy.
+            x_b = _certified(original, basis, c_std)
+            if x_b is None:
+                raise NumericalError("optimal basis failed its certificate after a rebuild")
         y = np.zeros(std.n_struct)
         y[basis] = np.maximum(x_b, 0.0)
         x = std.point_from(y)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polyprocure
-from polyprocure import procurement
+from polyprocure import lp as lp_module, procurement
 from polyprocure.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -205,6 +205,11 @@ class TestJstar:
         monkeypatch.setattr(procurement, "solve_lp", lambda lp: LpSolution(LpStatus.UNBOUNDED))
         code = main(["jstar", write_json(tmp_path, "inst.json", BATTERY_INSTANCE)])
         assert_numerical_failure(code, capsys.readouterr(), "oracle LP became unbounded")
+
+    def test_uncertified_basis_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp_module, "_certified", lambda *args: None)
+        code = main(["jstar", write_json(tmp_path, "inst.json", BATTERY_INSTANCE)])
+        assert_numerical_failure(code, capsys.readouterr(), "failed its certificate")
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         path = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)

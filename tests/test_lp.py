@@ -26,6 +26,7 @@ from polyprocure.lp import (
     IterationLimitError,
     LinearProgram,
     LpStatus,
+    NumericalError,
     check_feasible,
     solve_lp,
     solve_lp_costs,
@@ -162,6 +163,39 @@ def tree_check_lp(alpha):
 
 
 FIXTURE = Path(__file__).with_name("policy_bounds_120428386_1.json")
+
+
+def affine_fixture(name):
+    """The instance of a policy_bounds_<seed>_<job>.json fixture (benchmark
+    policy-bounds job <job> of seed <seed>), its affine LP and its affine
+    result."""
+    inst = instance_from_json(json.loads(FIXTURE.with_name(name).read_text()))
+    affine = []
+    lp = captured_lps(procurement, "solve_lp",
+                      lambda: affine.append(procurement.affine_bound(inst)))[0]
+    return inst, lp, affine[0]
+
+
+def counted_simplex(monkeypatch):
+    """Patch lp._simplex to count its calls; returns the list it appends to."""
+    real, calls = lp_module._simplex, []
+    monkeypatch.setattr(lp_module, "_simplex", lambda *args: calls.append(None) or real(*args))
+    return calls
+
+
+def oracle_lp():
+    """The 704 x 194 LP of solve_oracle on a three-resource fleet, the
+    benchmark's shape."""
+    rng = np.random.default_rng(3)
+    inst = instance_from_json({"horizon": 8, "resources": [
+        {"battery": {"capacity": 3.0, "rate": 1.1, "soc": 0.5}, "price": 1.0},
+        {"instances": True, "price": 0.6},
+        {"battery": {"capacity": 1.5, "rate": 0.5, "soc": 0.5}, "price": 0.3,
+         "scalable": False}],
+        "demand": {"vrep": {"vertices": rng.uniform(-1, 1, (8, 8)).tolist()}}})
+    lp = captured_lps(procurement, "solve_lp", lambda: procurement.solve_oracle(inst))[0]
+    assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (704, 194)
+    return lp
 
 
 def highs(lp):
@@ -351,16 +385,29 @@ class TestAgainstHighs:
         """The policy-bounds instance of benchmark seed 120428386, job 1,
         whose affine LP was once solved to 0.5938 (HiGHS: 0.6599), putting
         the affine cost below J*."""
-        inst = instance_from_json(json.loads(FIXTURE.read_text()))
-        affine = []
-        lp = captured_lps(procurement, "solve_lp",
-                          lambda: affine.append(procurement.affine_bound(inst)))[0]
+        inst, lp, affine = affine_fixture(FIXTURE.name)
         sol, ref = solve_lp(lp), highs(lp)
         assert sol.status is LpStatus.OPTIMAL and ref.status == 0
         assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
         assert sol.objective_value == pytest.approx(0.659853163131833, abs=1e-8)
         assert_primal_feasible(lp, sol.point)
-        assert procurement.solve_oracle(inst).cost <= affine[0].cost
+        assert procurement.solve_oracle(inst).cost <= affine.cost
+
+    @pytest.mark.parametrize("name", ["policy_bounds_3_7.json", "policy_bounds_11_1.json"])
+    def test_rebuilt_affine_fixtures_match_highs(self, monkeypatch, name):
+        """The two policy-bounds affine LPs whose phase 2, carried on from
+        phase 1 without a certificate, once stopped below HiGHS (1.1703
+        against 1.3882, 0.5698 against 0.6342): the certificate rejects the
+        carried basis and the one rebuild solves them."""
+        inst, lp, affine = affine_fixture(name)
+        calls = counted_simplex(monkeypatch)
+        sol = solve_lp(lp)
+        assert len(calls) == 3  # phase 1, the carried phase 2, the rebuild
+        ref = highs(lp)
+        assert sol.status is LpStatus.OPTIMAL and ref.status == 0
+        assert sol.objective_value == pytest.approx(ref.fun, abs=1e-8)
+        assert_primal_feasible(lp, sol.point)
+        assert procurement.solve_oracle(inst).cost <= affine.cost
 
     @pytest.mark.parametrize("alpha", [1.0, 0.3])
     def test_tree_check_verdict_matches_highs(self, alpha):
@@ -423,19 +470,23 @@ class TestSolveCosts:
         with pytest.raises(ValueError, match="2 finite coefficients"):
             solve_lp_costs(lp, [lp.c, cost])
 
-    @pytest.mark.parametrize("corrupt, sign", [(zero_columns, 1.0), (zero_columns, -1.0),
-                                               (reverse_rhs, 1.0)],
-                             ids=["stale-optimal", "stale-unbounded", "drifted"])
-    def test_corrupted_carry_is_rebuilt(self, monkeypatch, corrupt, sign):
-        """The second objective's phase 2 starts from a corrupted tableau; the
-        certificate must catch every wrong answer, and the rebuild must give
-        the answer of solving that objective alone."""
+    @pytest.mark.parametrize("corrupt, sign, objective", [
+        pytest.param(corrupt, sign, objective, id=prefix + name)
+        for objective, prefix in ((1, ""), (0, "first-"))
+        for corrupt, sign, name in ((zero_columns, 1.0, "stale-optimal"),
+                                    (zero_columns, -1.0, "stale-unbounded"),
+                                    (reverse_rhs, 1.0, "drifted"))])
+    def test_corrupted_carry_is_rebuilt(self, monkeypatch, corrupt, sign, objective):
+        """The phase 2 of the first objective (carried on from phase 1's
+        tableau) or of the second (carried on from the first's) starts from a
+        corrupted tableau; the certificate must catch every wrong answer, and
+        the rebuild must give the answer of solving that objective alone."""
         real_simplex = lp_module._simplex
         calls = []
 
         def corrupting(tab, c, basis, counter):
             calls.append(None)
-            if len(calls) == 3:  # phase 1, the first phase 2, then the carried one
+            if len(calls) == 2 + objective:  # phase 1, then one phase 2 per objective
                 corrupt(tab)
             return real_simplex(tab, c, basis, counter)
 
@@ -445,16 +496,34 @@ class TestSolveCosts:
         for _ in range(30):
             lp = random_boxed_lp(rng)
             c = sign * (np.abs(lp.c) + 0.5)  # opposite objectives: optima differ
+            costs = [-c, -c]
+            costs[objective] = c
             calls.clear()
-            second = solve_lp_costs(lp, [-c, c])[1]
+            got = solve_lp_costs(lp, costs)[objective]
             rebuilt += len(calls) == 4  # a fourth phase: the rebuild
             with monkeypatch.context() as mp:
                 mp.setattr(lp_module, "_simplex", real_simplex)
                 alone = solve_lp(replace(lp, c=c))
-            assert second.status is alone.status is LpStatus.OPTIMAL
-            assert second.objective_value == pytest.approx(alone.objective_value, abs=1e-9)
-            assert_primal_feasible(lp, second.point)
+            assert got.status is alone.status is LpStatus.OPTIMAL
+            assert got.objective_value == pytest.approx(alone.objective_value, abs=1e-9)
+            assert_primal_feasible(lp, got.point)
         assert rebuilt >= 10, f"rebuilt {rebuilt} of 30"
+
+    def test_uncertified_basis_raises(self, monkeypatch):
+        """A basis that fails its certificate after the rebuild is never read
+        out: the solve raises instead."""
+        monkeypatch.setattr(lp_module, "_certified", lambda *args: None)
+        with pytest.raises(NumericalError, match="failed its certificate after a rebuild"):
+            solve_lp(LinearProgram(c=[1.0, 2.0], a_le=[[-1.0, -1.0]], b_le=[-1.0],
+                                   lower=[0.0, 0.0]))
+
+    def test_oracle_lp_needs_no_rebuild(self, monkeypatch):
+        """The common path: phase 2 carries on from phase 1's tableau and
+        its basis passes the certificate, so the tableau is never rebuilt."""
+        lp = oracle_lp()
+        calls = counted_simplex(monkeypatch)
+        assert solve_lp(lp).status is LpStatus.OPTIMAL
+        assert len(calls) == 2  # phase 1 and phase 2
 
 
 class TestSparsePivot:
@@ -550,15 +619,7 @@ class TestMemory:
         assert traced_peak(check_feasible, lp) <= 1.7 * phase_one_tableau_bytes(lp)
 
     def test_oracle_solve_peak(self):
-        rng = np.random.default_rng(3)
-        inst = instance_from_json({"horizon": 8, "resources": [
-            {"battery": {"capacity": 3.0, "rate": 1.1, "soc": 0.5}, "price": 1.0},
-            {"instances": True, "price": 0.6},
-            {"battery": {"capacity": 1.5, "rate": 0.5, "soc": 0.5}, "price": 0.3,
-             "scalable": False}],
-            "demand": {"vrep": {"vertices": rng.uniform(-1, 1, (8, 8)).tolist()}}})
-        lp = captured_lps(procurement, "solve_lp", lambda: procurement.solve_oracle(inst))[0]
-        assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (704, 194)
+        lp = oracle_lp()
         assert traced_peak(solve_lp, lp) <= 3.5 * phase_one_tableau_bytes(lp)
 
 
