@@ -14,7 +14,9 @@ objectives with one phase 1, and one rule for every objective: phase 2
 carries on from the tableau it inherits, and an optimal basis is returned
 only once it is certified primal feasible and optimal from the original
 data, whose x_B is then the returned point, so rank-1 update drift never
-reaches the caller.  A basis that fails the certificate, or a carried
+reaches the caller.  The certificate eliminates the basic single-entry
+columns (the slacks, mostly) exactly and solves only the block of the
+other basic columns, still on the original rows.  A basis that fails the certificate, or a carried
 tableau that says unbounded, gets one rebuild from the original data at
 the phase-1 basis; a rebuilt basis that fails too raises NumericalError.
 solve_lp is the one-objective case.  The arrays are dense, but the work
@@ -315,15 +317,50 @@ def check_feasible(lp):
     return FeasibilityResult(True, std.point_from(phase1.structural_point()))
 
 
-def _certified(original, basis, c):
+def _unit_rows(original):
+    """For each column of the original rows [a | b] but the rhs, the row of
+    its one nonzero entry, or -1 if it has none or several."""
+    rows, cols = original[:, :-1].nonzero()
+    count = np.bincount(cols, minlength=original.shape[1] - 1)
+    unit = count[cols] == 1
+    where = np.full(count.size, -1)
+    where[cols[unit]] = rows[unit]
+    return where
+
+
+def _certified(original, basis, c, unit_rows):
     """x_B of basis, solved from the original rows [a | b], when the basis is
-    primal feasible and optimal for c there; None otherwise."""
-    b_mat = original[:, basis]
+    primal feasible and optimal for c there; None otherwise.
+
+    Most basic columns of an optimum are slacks: columns with one nonzero
+    entry d, in the row that unit_rows gives (see _unit_rows).  Their rows S
+    are eliminated exactly, so only the block K = original[R, rest] of the
+    other rows R and the other basic columns is solved:
+    K x_rest = b_R and K^T y_R = c_rest - cross^T y_S, with
+    cross = original[S, rest], y_S = c_S / d and x_S = (b_S - cross x_rest) / d.
+    Two basic single-entry columns on one row make the basis singular.
+    """
+    rows = unit_rows[basis]
+    unit = rows >= 0
+    s_rows, s_cols, rest = rows[unit], basis[unit], basis[~unit]
+    in_s = np.zeros(original.shape[0], dtype=bool)
+    in_s[s_rows] = True
+    if np.count_nonzero(in_s) < s_rows.size:
+        return None
+    r_rows = np.flatnonzero(~in_s)
+    d = original[s_rows, s_cols]
+    cross = original[np.ix_(s_rows, rest)]
+    y = np.empty(original.shape[0])
+    y[s_rows] = c[s_cols] / d
+    k = original[np.ix_(r_rows, rest)]
     try:
-        x_b = np.linalg.solve(b_mat, original[:, -1])
-        y = np.linalg.solve(b_mat.T, c[basis])
+        x_rest = np.linalg.solve(k, original[r_rows, -1])
+        y[r_rows] = np.linalg.solve(k.T, c[rest] - y[s_rows] @ cross)
     except np.linalg.LinAlgError:
         return None
+    x_b = np.empty(basis.size)
+    x_b[unit] = (original[s_rows, -1] - cross @ x_rest) / d
+    x_b[~unit] = x_rest
     reduced = c - y @ original[:, :-1]
     if x_b.min(initial=0.0) < -FEAS_TOL or reduced.min(initial=0.0) < -FEAS_TOL:
         return None
@@ -366,12 +403,13 @@ def solve_lp_costs(lp, costs):
     tab = tab[:, :n + 1]
     if not keep.all():
         tab, basis, original = tab[keep], basis[keep], original[keep]
+    unit_rows = _unit_rows(original)
     solutions = []
     for c in costs:
         c_std = std.costs(c)
         x_b = None
         if _simplex(tab, c_std, basis, [spent]) == "optimal":
-            x_b = _certified(original, basis, c_std)
+            x_b = _certified(original, basis, c_std, unit_rows)
         if x_b is None:
             # Rebuild the tableau from the original data, dropping the
             # carried one first, so its drift cannot leak forward.
@@ -384,7 +422,7 @@ def solve_lp_costs(lp, costs):
             if _simplex(tab, c_std, basis, [spent]) == "unbounded":
                 solutions.append(LpSolution(LpStatus.UNBOUNDED))
                 continue
-            x_b = _certified(original, basis, c_std)
+            x_b = _certified(original, basis, c_std, unit_rows)
             if x_b is None:
                 raise NumericalError("optimal basis failed its certificate after a rebuild")
         y = np.zeros(std.n_struct)

@@ -183,19 +183,92 @@ def counted_simplex(monkeypatch):
     return calls
 
 
-def oracle_lp():
-    """The 704 x 194 LP of solve_oracle on a three-resource fleet, the
-    benchmark's shape."""
+def benchmark_fleet():
+    """A three-resource fleet of the benchmark's shape, eight demand vertices."""
     rng = np.random.default_rng(3)
-    inst = instance_from_json({"horizon": 8, "resources": [
+    return instance_from_json({"horizon": 8, "resources": [
         {"battery": {"capacity": 3.0, "rate": 1.1, "soc": 0.5}, "price": 1.0},
         {"instances": True, "price": 0.6},
         {"battery": {"capacity": 1.5, "rate": 0.5, "soc": 0.5}, "price": 0.3,
          "scalable": False}],
         "demand": {"vrep": {"vertices": rng.uniform(-1, 1, (8, 8)).tolist()}}})
+
+
+def oracle_lp():
+    """The 704 x 194 LP of solve_oracle on benchmark_fleet()."""
+    inst = benchmark_fleet()
     lp = captured_lps(procurement, "solve_lp", lambda: procurement.solve_oracle(inst))[0]
     assert (lp.b_eq.size + lp.b_le.size, lp.n_vars) == (704, 194)
     return lp
+
+
+def tv_lp():
+    """The LP of tv_proportional_bound on benchmark_fleet()."""
+    inst = benchmark_fleet()
+    return captured_lps(procurement, "solve_lp",
+                        lambda: procurement.tv_proportional_bound(inst))[0]
+
+
+def dense_certified(original, basis, c):
+    """The reference certificate: x_B and y from two dense solves with the
+    full r x r basis of the original rows [a | b]."""
+    b_mat = original[:, basis]
+    try:
+        x_b = np.linalg.solve(b_mat, original[:, -1])
+        y = np.linalg.solve(b_mat.T, c[basis])
+    except np.linalg.LinAlgError:
+        return None
+    reduced = c - y @ original[:, :-1]
+    if x_b.min(initial=0.0) < -FEAS_TOL or reduced.min(initial=0.0) < -FEAS_TOL:
+        return None
+    return x_b
+
+
+def certificate_lp(rng, k=3):
+    """A small random program built around a feasible point x0, with k
+    objectives and every shape the certificate's block elimination meets:
+    equality and <= rows; a <= row whose rhs turns negative once the
+    variables are shifted, so it is negated and its slack enters with -1;
+    boxed variables (upper-bound rows); a lower-bounded variable in one <=
+    row and a free one in one equality row (structural single-entry
+    columns); and a duplicated equality row, which phase 1 drops as
+    redundant."""
+    n = int(rng.integers(4, 8))
+    kind = rng.integers(0, 4, n)  # boxed, lower only, upper only, free
+    kind[:3] = (0, 1, 3)
+    x0 = np.round(rng.uniform(-2, 2, n), 2)
+    lower = np.where(kind <= 1, x0 - np.round(rng.uniform(0.1, 2, n), 2), -np.inf)
+    upper = np.where(kind % 2 == 0, x0 + np.round(rng.uniform(0.1, 2, n), 2), np.inf)
+    m_eq, m_le = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    a = np.round(rng.normal(0, 1, (m_eq + m_le, n)), 2) * (rng.random((m_eq + m_le, n)) < 0.6)
+    a[:, 1:3] = 0.0
+    a[m_eq + rng.integers(m_le), 1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    a[0, 2] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    a_eq, a_le = a[:m_eq], a[m_eq:]
+    b_le = np.round(a_le @ x0 + rng.uniform(0.05, 1.0, m_le), 2)
+    # -x_0 <= -(lower_0 + t): shifted by lower_0, its rhs is -t < 0.
+    a_le = np.vstack([a_le, -np.eye(n)[0]])
+    b_le = np.append(b_le, -(lower[0] + (x0[0] - lower[0]) / 2))
+    a_eq = np.vstack([a_eq, a_eq[0]])
+    b_eq = a_eq @ x0
+    costs = np.round(rng.normal(0, 2, (k, n)), 2)
+    return (LinearProgram(c=costs[0], a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le,
+                          lower=lower, upper=upper), costs)
+
+
+def optimal_for(original, basis, rng):
+    """An objective for which basis, if primal feasible, is optimal: duals y
+    drawn at random and positive reduced costs off the basis."""
+    reduced = rng.uniform(0.1, 1.0, original.shape[1] - 1)
+    reduced[basis] = 0.0
+    return rng.normal(0, 1, original.shape[0]) @ original[:, :-1] + reduced
+
+
+def recorded_solve_shapes(monkeypatch):
+    """Patch np.linalg.solve to record the shape of each system it solves."""
+    real, shapes = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or real(a, b))
+    return shapes
 
 
 def highs(lp):
@@ -526,6 +599,93 @@ class TestSolveCosts:
         assert len(calls) == 2  # phase 1 and phase 2
 
 
+class TestCertificate:
+    """_certified eliminates the basic single-entry columns and solves only
+    the block left over; it must agree with two dense solves on the full
+    basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        lp, costs = certificate_lp(rng)
+        calls, real = [], lp_module._certified
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_certified", lambda original, basis, c, unit_rows: calls.append(
+                (original, basis.copy(), c, unit_rows)) or real(original, basis, c, unit_rows))
+            solve_lp_costs(lp, costs)
+        std = lp_module._Standard(lp)
+        n_slack = lp.b_le.size + np.count_nonzero(np.isfinite(lp.lower) & np.isfinite(lp.upper))
+        n_col = std.n_struct - n_slack
+        for original, basis, c, unit_rows in calls:
+            assert original.shape[0] < std.tab.shape[0]  # a redundant row is gone
+            assert np.any(original[:, n_col:-1] == -1.0)  # a negated row's slack
+            single = np.count_nonzero(original[:, :-1], axis=0) == 1
+            assert np.array_equal(unit_rows >= 0, single)
+            assert np.array_equal(unit_rows[single], original[:, :-1][:, single].T.nonzero()[1])
+            assert np.any(single[:n_col])  # a structural single-entry column
+            exchanged = [basis.copy() for _ in range(4)]  # non-optimal bases
+            for other in exchanged:
+                other[rng.integers(basis.size)] = rng.choice(
+                    np.setdiff1d(np.arange(original.shape[1] - 1), basis))
+            for i, other in enumerate([basis] + exchanged):
+                if i and np.linalg.cond(original[:, other]) > 1e8:
+                    continue
+                for cost in (c, optimal_for(original, other, rng)):
+                    got = lp_module._certified(original, other, cost, unit_rows)
+                    want = dense_certified(original, other, cost)
+                    assert (got is None) is (want is None)
+                    if want is not None:
+                        np.testing.assert_allclose(
+                            got, want, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(want).max()))
+
+    def test_two_unit_columns_on_one_row_are_singular(self):
+        # Columns 0 and 2 each hold one nonzero, both in row 0.
+        original = np.array([[2.0, 1.0, -1.0, 0.0, 3.0],
+                             [0.0, 1.0, 0.0, 1.0, 1.0]])
+        unit_rows = lp_module._unit_rows(original)
+        assert unit_rows.tolist() == [0, -1, 0, 1]
+        c = np.zeros(4)
+        assert dense_certified(original, np.array([0, 2]), c) is None
+        assert lp_module._certified(original, np.array([0, 2]), c, unit_rows) is None
+        x_b = lp_module._certified(original, np.array([0, 3]), c, unit_rows)
+        assert x_b.tolist() == [1.5, 1.0]
+
+    @pytest.mark.parametrize("lp, point", [
+        pytest.param(LinearProgram(c=[1.0, -1.0], lower=[0.0, -np.inf], upper=[np.inf, 2.5]),
+                     [0.0, 2.5], id="no-rows"),
+        pytest.param(LinearProgram(c=[1.0, 1.0], a_le=[[1.0, 1.0]], b_le=[1.0],
+                                   lower=[0.0, 0.0]), [0.0, 0.0], id="slack-basis"),
+        pytest.param(LinearProgram(c=[-1.0, 1.0], a_le=[[2.0, 0.0], [0.0, -1.0]],
+                                   b_le=[3.0, -0.5], lower=[0.0, 0.0]),
+                     [1.5, 0.5], id="structural-unit-basis")])
+    def test_all_unit_basis(self, monkeypatch, lp, point):
+        """A basis of single-entry columns only leaves a 0 x 0 block."""
+        shapes = recorded_solve_shapes(monkeypatch)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.point.tolist() == point
+        assert shapes == [(0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("build", [oracle_lp, tv_lp], ids=["oracle", "tv"])
+    def test_solves_only_the_non_unit_block(self, monkeypatch, build):
+        """The largest system solved is at most the count of basic columns
+        with several nonzeros, not the r x r basis."""
+        lp = build()
+        several, real = [], lp_module._certified
+
+        def counting(original, basis, c, unit_rows):
+            several.append(np.count_nonzero(np.count_nonzero(original[:, basis], axis=0) > 1))
+            return real(original, basis, c, unit_rows)
+
+        monkeypatch.setattr(lp_module, "_certified", counting)
+        shapes = recorded_solve_shapes(monkeypatch)
+        assert solve_lp(lp).status is LpStatus.OPTIMAL
+        assert len(several) == 1 and len(shapes) == 2  # one certificate, no rebuild
+        assert max(max(shape) for shape in shapes) <= several[0]
+        assert several[0] < (lp.b_eq.size + lp.b_le.size) / 4
+
+
 class TestSparsePivot:
     @settings(max_examples=200, deadline=None)
     @given(pivot_cases(), st.sampled_from([8, 64, 1 << 20]))
@@ -620,7 +780,7 @@ class TestMemory:
 
     def test_oracle_solve_peak(self):
         lp = oracle_lp()
-        assert traced_peak(solve_lp, lp) <= 3.5 * phase_one_tableau_bytes(lp)
+        assert traced_peak(solve_lp, lp) <= 2.4 * phase_one_tableau_bytes(lp)
 
 
 # Solves the fleet LPs of TestAgainstHighs, the fixture's oracle, tv and
