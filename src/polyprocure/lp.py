@@ -16,13 +16,13 @@ only once it is certified primal feasible and optimal from the original
 data, whose x_B is then the returned point, so rank-1 update drift never
 reaches the caller.  The certificate eliminates the basic single-entry
 columns (the slacks, mostly) exactly and solves only the block of the
-other basic columns, still on the original rows.  A basis that fails the certificate, or a carried
-tableau that says unbounded, gets one rebuild from the original data at
-the phase-1 basis; a rebuilt basis that fails too raises NumericalError.
-solve_lp is the one-objective case.  The arrays are dense, but the work
-follows the sparsity of the LPs' block structure: a pivot touches only the
-nonzero rows and columns of its update, and pricing reads only the basic
-rows that carry cost.
+other basic columns, still on the original rows.  A basis that fails the
+certificate, or a carried tableau that says unbounded, gets one rebuild
+from the original data at the phase-1 basis; a rebuilt basis that fails
+too raises NumericalError.  solve_lp is the one-objective case.  The
+arrays are dense, but the work follows the sparsity of the LPs' block
+structure: a pivot touches only the nonzero rows and columns of its
+update, and pricing reads only the basic rows that carry cost.
 """
 
 import enum
