@@ -53,6 +53,9 @@ EXIT_INFEASIBLE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
+# Most points a start:stop:step grid option may ask for.
+MAX_GRID_POINTS = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -169,8 +172,10 @@ def _parse_grid(spec):
         raise UsageError("grid step must be positive")
     if hi < lo:
         raise UsageError("grid stop must be >= start")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(n)]
+    n = np.floor((hi - lo) / step + 1e-9) + 1  # inf when hi - lo overflows
+    if not n <= MAX_GRID_POINTS:
+        raise UsageError(f"grid {spec} has {n:.0f} points, more than {MAX_GRID_POINTS}")
+    return [lo + i * step for i in range(int(n))]
 
 
 def cmd_poc_sweep(args):

@@ -20,6 +20,9 @@ VERTEX_DEDUP_TOL = 1e-7
 # Guard for exact vertex enumeration; beyond this the row-subset count explodes.
 MAX_ENUMERATION_DIM = 8
 
+# Row subsets that vertex enumeration solves per stacked solve.
+ENUMERATION_BLOCK = 2048
+
 
 def _require_finite(**fields):
     for name, value in fields.items():
@@ -210,27 +213,40 @@ def _dedup(points):
 
 
 def hrep_to_vrep(p):
-    """Exact vertex enumeration over all row subsets (small dimensions only)."""
+    """Exact vertex enumeration over all row subsets (small dimensions only).
+
+    Each subset of `horizon` rows with a nonsingular matrix gives a candidate,
+    kept if it solves its rows to 1e-8 and satisfies every row to FEAS_TOL.
+    The subsets go ENUMERATION_BLOCK at a time through one stacked
+    np.linalg.solve, after dropping those whose determinant is exactly 0:
+    the LU factorization that gives det 0 is the one that makes a single
+    solve raise, so every point is bit-identical to a per-subset solve, and
+    memory follows the block size, not the number of subsets.
+    """
     if p.n_aux != 0:
         raise ValueError("vertex enumeration needs an unlifted polytope")
     t = p.horizon
     if t > MAX_ENUMERATION_DIM:
         raise ValueError(f"dimension {t} exceeds enumeration guard {MAX_ENUMERATION_DIM}")
     a, b = p.a, p.b
-    found = []
-    for idx in itertools.combinations(range(p.n_rows), t):
-        sub = a[list(idx)]
-        try:
-            x = np.linalg.solve(sub, b[list(idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.max(np.abs(sub @ x - b[list(idx)])) > 1e-8:
-            continue  # near-singular basis, solution untrustworthy
-        if np.all(a @ x <= b + FEAS_TOL):
-            found.append(x)
-    if not found:
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(p.n_rows), t))
+    found = [np.zeros((0, t))]
+    while True:
+        idx = np.fromiter(itertools.islice(subsets, ENUMERATION_BLOCK * t),
+                          dtype=np.intp).reshape(-1, t)
+        if not idx.size:
+            break
+        sub, rhs = a[idx], b[idx, None]
+        nonsingular = np.linalg.det(sub) != 0
+        sub, rhs = sub[nonsingular], rhs[nonsingular]
+        x = np.linalg.solve(sub, rhs)
+        finite = np.isfinite(x).all(axis=(1, 2))
+        sub, rhs, x = sub[finite], rhs[finite], x[finite]
+        # a near-singular basis leaves its solution untrustworthy
+        x = x[np.abs(sub @ x - rhs).max(axis=(1, 2), initial=0.0) <= 1e-8, :, 0]
+        found.append(x[np.all(x @ a.T <= b + FEAS_TOL, axis=1)])
+    found = np.concatenate(found)
+    if not found.size:
         raise ValueError("no vertices found: polytope is empty or degenerate")
     verts = _dedup(found)
     order = np.lexsort(verts.T[::-1])
@@ -276,21 +292,76 @@ def convex_coefficients(p, x, delta=1.0, center=None):
     return res.point if res.feasible else None
 
 
+def _exposed(pts, among, directions):
+    """The point of pts[among] that each direction exposes, as an index into pts.
+
+    Among the points within FEAS_TOL of a direction's maximum, it is the
+    lexicographic maximum, taken to within FEAS_TOL per coordinate: after
+    _dedup that leaves one point, a vertex of the face the direction
+    exposes, and so a vertex of the whole set.
+    """
+    cand = pts[among]
+    scores = directions @ cand.T
+    near = scores >= scores.max(axis=1, keepdims=True) - FEAS_TOL
+    for col in cand.T:
+        top = np.where(near, col, -np.inf).max(axis=1, keepdims=True)
+        near &= col >= top - FEAS_TOL
+    return among[np.argmax(near, axis=1)]
+
+
+def _hull_distances(hull, points):
+    """The l1 distance from each point to conv(hull), and a direction w
+    (|w_i| <= 1) along which the point beats every hull point by it.
+
+    One LP under one objective per point: max p.w + w0 subject to
+    v.w + w0 <= 0 for every v in hull, -1 <= w <= 1 and w0 free.  It is the
+    dual of min |p - V lam|_1 over convex weights lam, the quantity phase 1
+    of a membership check compares with FEAS_TOL.
+    """
+    k, t = hull.shape
+    lp = LinearProgram(c=np.zeros(t + 1), a_le=np.hstack([hull, np.ones((k, 1))]),
+                       b_le=np.zeros(k), lower=np.r_[-np.ones(t), -np.inf],
+                       upper=np.r_[np.ones(t), np.inf])
+    sols = solve_lp_costs(lp, -np.hstack([points, np.ones((len(points), 1))]))
+    return (np.array([-sol.objective_value for sol in sols]),
+            np.array([sol.point[:t] for sol in sols]))
+
+
 def extreme_points(v):
-    """Drop every point lying in the hull of the others.
+    """Drop every point lying in the hull of the others (to FEAS_TOL).
 
     Purely an economy measure for downstream LPs; the hull is unchanged.
+    A point that uniquely maximizes a linear function is extreme and needs
+    no LP (the exposing-direction test of Clarkson's output-sensitive
+    extreme-point algorithm, 1994).  So the points that the directions +-e_i
+    and p - centroid expose seed the hull E.  Every other point gets its l1
+    distance to conv(E) from one LP (_hull_distances); a point within
+    FEAS_TOL is dropped, and each point beyond it has a direction that
+    exposes a new vertex, which joins E for the next round.  A point is
+    dropped only once certified inside: if a round exposes nothing new,
+    every point still outside is kept, so the hull never shrinks.
     """
     pts = _dedup(np.asarray(v.vertices, dtype=float))
-    keep = list(range(len(pts)))
-    i = 0
-    while i < len(keep):
-        others = [keep[j] for j in range(len(keep)) if j != i]
-        if others and contains_point(VPolytope(pts[others]), pts[keep[i]]):
-            keep.pop(i)
-        else:
-            i += 1
-    verts = pts[keep]
+    n, t = pts.shape
+    directions = np.vstack([np.eye(t), -np.eye(t), pts - pts.mean(axis=0)])
+    size = np.abs(directions).max(axis=1)
+    directions = directions[size > 0] / size[size > 0, None]
+    in_hull = np.zeros(n, dtype=bool)
+    in_hull[_exposed(pts, np.arange(n), directions)] = True
+    rest = np.flatnonzero(~in_hull)
+    while rest.size:
+        dist, w = _hull_distances(pts[in_hull], pts[rest])
+        outside = dist > FEAS_TOL
+        rest, w = rest[outside], w[outside]
+        if not rest.size:
+            break
+        new = _exposed(pts, rest, w)
+        if in_hull[new].all():  # no new vertex certified: keep every point outside
+            in_hull[rest] = True
+            break
+        in_hull[new] = True
+        rest = rest[~in_hull[rest]]
+    verts = pts[in_hull]
     order = np.lexsort(verts.T[::-1])
     return VPolytope(verts[order])
 

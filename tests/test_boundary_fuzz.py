@@ -4,9 +4,11 @@ One field of a small valid input is mutated: a key of an instance or sweep
 JSON file, a cell of a scenario, participant or history CSV file, or a
 numeric option.
 The mutation drops it, swaps its type, or puts NaN, +-Infinity, 1e400, a
-negative or a fraction in its place.  Whatever it is, the command must exit
-with a documented code (0-4), print at most one line to stderr, raise nothing
-and warn nothing, and print strict JSON or finite CSV numbers if it reports.
+negative, a fraction or 1e-9 in its place (as a grid step, 1e-9 asks for
+about 10^9 points, which must be refused before any is built).  Whatever
+it is, the command must exit with a documented code (0-4), print at most one
+line to stderr, raise nothing and warn nothing, and print strict JSON or
+finite CSV numbers if it reports.
 A JSON boolean where a number belongs must exit 1.
 """
 
@@ -67,7 +69,7 @@ COMMANDS = [
      "--delta-grid", "1:2:0.5"],
 ]
 MUTATIONS = ["drop", "string", "list", "object", "null", "bool",
-             "nan", "inf", "-inf", "1e400", "negative", "fraction"]
+             "nan", "inf", "-inf", "1e400", "negative", "fraction", "tiny"]
 _HUGE = "__1e400__"  # stands for the literal 1e400, which Python reads as inf
 _DROPPED = object()  # a JSON file dropped whole is written empty
 
@@ -106,7 +108,8 @@ def _json_value(old, mutation):
     number = old if _is_number(old) else 1
     return {"string": "x", "list": [], "object": {}, "null": None, "bool": True,
             "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e400": _HUGE,
-            "negative": -abs(number) or -1, "fraction": number + 0.5}[mutation]
+            "negative": -abs(number) or -1, "fraction": number + 0.5,
+            "tiny": 1e-9}[mutation]
 
 
 def _text_value(old, mutation):
@@ -117,7 +120,7 @@ def _text_value(old, mutation):
     return {"string": "x", "list": "[]", "object": "{}", "null": "", "bool": "true",
             "nan": "nan", "inf": "inf", "-inf": "-inf", "1e400": "1e400",
             "negative": repr(-abs(number) or -1.0),
-            "fraction": repr(number + 0.5)}[mutation]
+            "fraction": repr(number + 0.5), "tiny": "1e-09"}[mutation]
 
 
 def _write(directory, name, body):
@@ -213,6 +216,9 @@ def mutated_commands(draw):
 @example((COMMANDS[2], 4, (0,), "inf"))
 @example((COMMANDS[3], "sweep.json", ("kappa_index",), "1e400"))
 @example((COMMANDS[3], 3, (1,), "inf"))
+# Each of these asks for about 10^9 grid points, which were once all built.
+@example((COMMANDS[3], 3, (2,), "tiny"))
+@example((COMMANDS[6], 8, (2,), "tiny"))
 @example((COMMANDS[4], 3, (0,), "nan"))
 @example((COMMANDS[4], 3, (0,), "inf"))
 @example((COMMANDS[5], 8, (0,), "nan"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polyprocure
-from polyprocure import lp as lp_module, procurement
+from polyprocure import cli, lp as lp_module, procurement
 from polyprocure.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -298,6 +298,17 @@ class TestPocSweep:
         assert main(["poc-sweep", path, "--kappa", "1:2:0"]) == EXIT_USAGE
         assert main(["poc-sweep", path, "--kappa", "2:1:0.5"]) == EXIT_USAGE
         assert main(["poc-sweep", path, "--kappa", "oops"]) == EXIT_USAGE
+
+    def test_long_grid_rejected_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "sweep.json", SWEEP_SPEC)
+        assert main(["poc-sweep", path, "--kappa", "1:1e9:1e-9"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than 1000000" in err, err
+        assert main(["poc-sweep", path, "--kappa", "-1e308:1e308:1"]) == EXIT_USAGE
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        assert len(cli._parse_grid("0:2:1")) == 3
+        with pytest.raises(cli.UsageError, match="has 4 points"):
+            cli._parse_grid("0:3:1")
 
     def test_precondition_exit(self, tmp_path, capsys):
         spec = {

@@ -1,5 +1,8 @@
 """Geometry checks: builders, vertex enumeration, membership, scaling."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +231,77 @@ class TestScaling:
         assert contains_point(scale(p, alpha), alpha * x) == contains_point(p, x)
 
 
+def looped_hrep_to_vrep(p):
+    """The reference: one np.linalg.solve per row subset."""
+    t, a, b = p.horizon, p.a, p.b
+    found = []
+    for idx in itertools.combinations(range(p.n_rows), t):
+        sub = a[list(idx)]
+        try:
+            x = np.linalg.solve(sub, b[list(idx)])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.max(np.abs(sub @ x - b[list(idx)])) > 1e-8:
+            continue
+        if np.all(a @ x <= b + polytope.FEAS_TOL):
+            found.append(x)
+    verts = polytope._dedup(found)
+    return verts[np.lexsort(verts.T[::-1])]
+
+
+def random_bounded_polytope(rng, t):
+    """A box around a random point, cut by a few random rows through it."""
+    x0 = rng.normal(size=t)
+    cuts = np.round(rng.normal(size=(int(rng.integers(1, 5)), t)), 1)
+    a = np.vstack([np.eye(t), -np.eye(t), cuts])
+    b = np.concatenate([x0 + 1.0, 1.0 - x0, cuts @ x0 + rng.uniform(0.0, 0.8, len(cuts))])
+    return HPolytope(a, b, horizon=t)
+
+
 class TestVertexEnumeration:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_battery_bits_match_per_subset_loop(self, t):
+        rng = np.random.default_rng(t)
+        for _ in range(3):
+            spec = BatterySpec(rng.uniform(0.5, 3), rng.uniform(0.3, 2), rng.uniform(0, 1), t)
+            p = battery_set(spec)
+            assert np.array_equal(hrep_to_vrep(p).vertices, looped_hrep_to_vrep(p))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_unit_box_bits_match_per_subset_loop(self, t):
+        # every subset holding both rows of one coordinate is singular
+        p = instance_set(t)
+        assert np.array_equal(hrep_to_vrep(p).vertices, looped_hrep_to_vrep(p))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_random_polytope_bits_match_per_subset_loop(self, seed, t):
+        p = random_bounded_polytope(np.random.default_rng(seed), t)
+        assert np.array_equal(hrep_to_vrep(p).vertices, looped_hrep_to_vrep(p))
+
+    def test_blocks_bound_the_memory(self):
+        # C(24, 6) = 134596 row subsets; all at once they take tens of MB.
+        p = battery_set(BatterySpec(2, 1, 0.3, 6))
+        tracemalloc.start()
+        try:
+            v = hrep_to_vrep(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.n_vertices > 0
+        assert peak < 4e6, peak
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param([[1.0], [-1.0]], [-1.0, -1.0], id="empty"),
+        pytest.param([[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0], id="every-subset-singular"),
+    ])
+    def test_no_vertices_rejected(self, a, b):
+        p = HPolytope(a, b, horizon=len(a[0]))
+        with pytest.raises(ValueError, match="no vertices found"):
+            hrep_to_vrep(p)
+
     def test_two_period_battery_vertices(self):
         v = hrep_to_vrep(battery_set(BatterySpec(1, 1, 0, 2)))
         assert vertex_set(v) == {(0, 0), (1, 0), (0, 1), (1, -1)}
@@ -324,7 +397,90 @@ class TestMinkowski:
             minkowski_candidate_vertices([VPolytope([[0.0]]), VPolytope([[0.0, 1.0]])])
 
 
+def looped_extreme_points(v):
+    """The reference: one membership LP per point against all the others."""
+    pts = polytope._dedup(v.vertices)
+    keep = list(range(len(pts)))
+    i = 0
+    while i < len(keep):
+        others = [keep[j] for j in range(len(keep)) if j != i]
+        if others and contains_point(VPolytope(pts[others]), pts[keep[i]]):
+            keep.pop(i)
+        else:
+            i += 1
+    verts = pts[keep]
+    return verts[np.lexsort(verts.T[::-1])]
+
+
+def random_cloud(rng, kind, t):
+    """Vertices of a random cloud plus duplicates and points on its edges and
+    faces, shuffled."""
+    if kind == "single":
+        return np.repeat(rng.normal(size=(1, t)), int(rng.integers(1, 4)), axis=0)
+    k = int(rng.integers(1, 10))
+    if kind == "lattice":  # many exact ties, collinear and coplanar points
+        base = rng.integers(-2, 3, (k, t)).astype(float)
+    elif kind == "planar":  # a flat cloud in R^3
+        base = rng.normal(size=(k, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+    else:
+        base = rng.normal(size=(k, t))
+    picks = rng.integers(0, k, (int(rng.integers(0, 8)), 3))
+    weights = rng.dirichlet(np.ones(3), len(picks))
+    weights[::2, 2] = 0.0  # every other one on a segment
+    weights[::4, :2] = 0.5  # and some at exact midpoints
+    combos = np.einsum("ij,ijk->ik", weights, base[picks])
+    pts = np.vstack([base, combos, base[rng.integers(0, k, 3)]])
+    return pts[rng.permutation(len(pts))]
+
+
 class TestExtremePoints:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(1, "normal"), (1, "lattice"), (2, "normal"), (2, "lattice"),
+                            (3, "normal"), (3, "lattice"), (3, "planar"), (1, "single"),
+                            (3, "single")]))
+    def test_matches_per_point_loop(self, seed, case):
+        t, kind = case
+        v = VPolytope(random_cloud(np.random.default_rng(seed), kind, t))
+        assert np.array_equal(extreme_points(v).vertices, looped_extreme_points(v))
+
+    def test_rounding_above_a_face_exposes_no_edge_point(self):
+        # 0.1 * 0.3 + 0.9 * 0.3 rounds one ulp above 0.3, so the point on the
+        # edge leads the face that e_1 exposes in its first coordinate; only
+        # a tie within FEAS_TOL per coordinate passes it over.
+        edge = 0.1 * np.array([0.3, 0.0]) + 0.9 * np.array([0.3, 1.0])
+        assert edge[0] > 0.3
+        v = VPolytope([[0.3, 0.0], [0.3, 1.0], [0.0, 0.5], edge])
+        assert np.array_equal(extreme_points(v).vertices, looped_extreme_points(v))
+        assert vertex_set(extreme_points(v)) == {(0.0, 0.5), (0.3, 0.0), (0.3, 1.0)}
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_matches_qhull(self, t):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(t)
+        for _ in range(10):
+            pts = rng.normal(size=(int(rng.integers(t + 1, 40)), t))
+            hull = spatial.ConvexHull(pts)
+            assert vertex_set(extreme_points(VPolytope(pts))) == \
+                vertex_set(VPolytope(pts[hull.vertices]))
+
+    def test_unexposed_points_are_kept(self, monkeypatch):
+        # The seed exposes only the triangle's three corners and later rounds
+        # expose nothing new: the points certified inside it go, every point
+        # outside it stays, so the hull never shrinks.
+        calls = []
+
+        def stingy(pts, among, directions):
+            calls.append(len(directions))
+            return among[:3] if len(calls) == 1 else among[:0]
+
+        monkeypatch.setattr(polytope, "_exposed", stingy)
+        v = VPolytope([[0, 0], [1, 0], [0, 1], [1, 1], [0.25, 0.25], [0.5, 0.5],
+                       [0.9, 0.9]])
+        e = extreme_points(v)
+        assert len(calls) == 2
+        assert vertex_set(e) == {(0, 0), (1, 0), (0, 1), (1, 1), (0.9, 0.9)}
+
     def test_interior_points_dropped(self):
         v = VPolytope([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5], [0.25, 0.75]])
         e = extreme_points(v)

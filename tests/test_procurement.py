@@ -413,6 +413,32 @@ class TestBatteryExact:
             battery_exact_procurement([BatterySpec(1, 1, 0, 2)], [1.0, 2.0])
 
 
+class TestMinkowskiDemand:
+    def test_sweep_fleet_needs_one_lp(self, monkeypatch):
+        # The exposing directions find the vertices; no membership LP runs.
+        from polyprocure import lp, polytope
+
+        calls = {"check_feasible": 0, "solve_lp_costs": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (lp, polytope):
+            counted(module, "check_feasible")
+            counted(module, "solve_lp_costs")
+        resources = (Resource(battery_set(BatterySpec(1, 1, 0, 3)), 1.0),
+                     Resource(battery_set(BatterySpec(1.5, 1, 0, 3)), 2.0))
+        demand = minkowski_demand(resources)
+        assert calls["check_feasible"] == 0
+        assert calls["solve_lp_costs"] <= 2
+        assert demand.n_vertices == 13  # of 64 distinct candidate sums
+
+
 class TestPriceOfCausality:
     def test_values(self):
         assert price_of_causality(3.0, 4.0) == pytest.approx(4.0 / 3.0)
