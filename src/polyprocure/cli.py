@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input error, 2 infeasible verdict,
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -300,6 +301,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def build_parser():
     parser = _Parser(prog="polyprocure",
                      description="Forward procurement of polytopic resources "

@@ -1,28 +1,33 @@
 """Linear programs and a self-contained dense two-phase simplex solver.
 
 Everything is float64 and the pivoting rules are fixed (Dantzig entering
-with lowest-index tie-breaks, leaving rows picked for pivot size among
-minimal ratios, Bland's rule after a run of degenerate pivots), so a given
-program solves to bit-identical results at a fixed BLAS thread count (the
-thread count changes the order in which BLAS sums: one oracle LP gives
+with ties to the lowest variable id, leaving rows picked for pivot size
+among minimal ratios, Bland's rule after a run of degenerate pivots), so a
+given program solves to bit-identical results at a fixed BLAS thread count
+(the thread count changes the order in which BLAS sums: one oracle LP gives
 0.7710790796855151 on one thread, ...154 on two).  Both phases pivot one
-dense array in place: phase 1 the standard form laid out as
-[A | artificials | b], phase 2 the same tableau without its artificial
-columns and redundant rows.  check_feasible reads its point off the
-pivoted phase-1 tableau.  solve_lp_costs solves one program under several
-objectives with one phase 1, and one rule for every objective: phase 2
-carries on from the tableau it inherits, and an optimal basis is returned
-only once it is certified primal feasible and optimal from the original
-data, whose x_B is then the returned point, so rank-1 update drift never
-reaches the caller.  The certificate eliminates the basic single-entry
-columns (the slacks, mostly) exactly and solves only the block of the
-other basic columns, still on the original rows.  A basis that fails the
-certificate, or a carried tableau that says unbounded, gets one rebuild
-from the original data at the phase-1 basis; a rebuilt basis that fails
-too raises NumericalError.  solve_lp is the one-objective case.  The
-arrays are dense, but the work follows the sparsity of the LPs' block
-structure: a pivot touches only the nonzero rows and columns of its
-update, and pricing reads only the basic rows that carry cost.
+condensed tableau [N | b] in place (Tucker's tableau: Ferris, Mangasarian
+& Wright, Linear Programming with MATLAB, 2007, ch. 2).  It stores only the
+nonbasic columns, each named by its variable id, and the rhs; a basic
+column is a unit vector and is not stored, so the slacks that start basic
+and the artificials have no column until they leave the basis.  A pivot is
+a Jordan exchange: the leaving variable takes the entering one's slot.
+Phase 2 carries on from phase 1's tableau without its artificial slots and
+redundant rows.  check_feasible reads its point off the pivoted phase-1
+tableau.  solve_lp_costs solves one program under several objectives with
+one phase 1, and one rule for every objective: phase 2 carries on from the
+tableau it inherits, and an optimal basis is returned only once it is
+certified primal feasible and optimal from the original rows, whose x_B is
+then the returned point, so rank-1 update drift never reaches the caller.
+The certificate eliminates the basic single-entry columns (the slacks,
+mostly) exactly and solves only the block of the other basic columns.  A
+basis that fails the certificate, or a carried tableau that says
+unbounded, gets one rebuild from the original rows at the phase-1 basis,
+solved for the nonbasic columns and b only; a rebuilt basis that fails too
+raises NumericalError.  solve_lp is the one-objective case.  The arrays
+are dense, but the work follows the sparsity of the LPs' block structure:
+a pivot touches only the nonzero rows and columns of its update, and
+pricing reads only the basic rows that carry cost.
 """
 
 import enum
@@ -122,11 +127,17 @@ class FeasibilityResult:
 
 class _Standard:
     """The program rewritten as min c.y, a y = b, y >= 0 with b >= 0, built
-    directly as the phase-1 tableau [a | artificials | b], with the
-    bookkeeping needed to map points back to the original variables.
+    directly as the condensed phase-1 tableau [N | b], with the bookkeeping
+    needed to map points back to the original variables.
 
-    In the starting basis, equality rows and rows whose rhs was negated sit
-    on an artificial column; the other inequality rows sit on their slack.
+    Variable ids: the columns of the original variables come first (two for
+    a free one), then a slack per inequality row (the slack of row i is
+    n_cols + i - m_eq), then the artificials.  In the starting basis,
+    equality rows and rows whose rhs was negated sit on an artificial; the
+    other inequality rows sit on their slack.  Those basic columns are unit
+    vectors and get no slot: tab holds only the nonbasic columns, the
+    variable columns and the slacks of the negated rows, and ids names the
+    variable in each slot.
     """
 
     def __init__(self, lp):
@@ -156,23 +167,27 @@ class _Standard:
         b[:m_orig] -= base @ offset
         neg = b < 0
         art_rows = np.flatnonzero((np.arange(m) < m_eq) | neg)
-        # Every inequality row (le and ub alike) gets a slack column.
-        slack_cols = ncol + np.arange(m - m_eq)
-        self.n_struct = ncol + slack_cols.size
+        neg_slacks = np.flatnonzero(neg[m_eq:])  # inequality rows, from m_eq on
+        # Every inequality row (le and ub alike) has a slack.
+        self.n_cols, self.m_eq = ncol, m_eq
+        self.n_struct = ncol + m - m_eq
+        self.n_art = art_rows.size
 
         has_plus, has_minus = plus >= 0, minus >= 0
         self.plus, self.minus, self.offset = plus, minus, offset
         self.has_plus, self.has_minus = has_plus, has_minus
-        tab = np.zeros((m, self.n_struct + art_rows.size + 1))
-        tab[:m_orig, plus[has_plus]] = base[:, has_plus]
-        tab[:m_orig, minus[has_minus]] = -base[:, has_minus]
+        self.ids = np.concatenate([np.arange(ncol), ncol + neg_slacks])
+        tab = np.zeros((m, self.ids.size + 1))
+        sign = np.ones(ncol)
+        sign[minus[has_minus]] = -1.0
+        split = base if ncol == n else base[:, np.repeat(np.arange(n), widths)]
+        np.multiply(split, sign, out=tab[:m_orig, :ncol])
         tab[np.arange(m_orig, m), ub_cols] = 1.0
-        tab[np.arange(m_eq, m), slack_cols] = 1.0
+        tab[m_eq + neg_slacks, ncol + np.arange(neg_slacks.size)] = 1.0
         tab[:, -1] = b
         np.negative(tab, out=tab, where=neg[:, None])  # nonnegative rhs
-        self.basis = np.concatenate([np.full(m_eq, -1), slack_cols])
+        self.basis = np.concatenate([np.full(m_eq, -1), ncol + np.arange(m - m_eq)])
         self.basis[art_rows] = self.n_struct + np.arange(art_rows.size)
-        tab[art_rows, self.basis[art_rows]] = 1.0
 
         self.tab = tab
 
@@ -190,36 +205,46 @@ class _Standard:
         return x
 
 
-def _pivot(tab, basis, leave, enter):
-    """Bring column `enter` into the basis at row `leave`, in place.
+def _pivot(tab, basis, ids, leave, slot):
+    """Exchange the nonbasic variable in column `slot` with the basic variable
+    of row `leave`, in place: a Jordan exchange on the condensed tableau.
 
-    The update touches only the rows with a nonzero entry in column `enter`
-    and the columns with a nonzero entry in row `leave`: every other entry
-    would change by 0 * y.  Column `enter` comes out as an exact unit vector,
-    since p / p = 1 and x - x * 1 = 0.  The last column of tab is the rhs; it
-    is updated with the row and kept nonnegative.
+    tab is [N | b]: a column for each nonbasic variable, named by ids, then
+    the rhs; the basic columns are unit vectors and are not stored.  The
+    leaving variable takes the entering one's slot.  With p the pivot entry
+    and t the slot's entries in the other rows, its column comes out as 1/p
+    in row `leave` and 0 - t * (1/p) elsewhere, the arithmetic of a full
+    tableau on the leaving unit column.  The update touches only the rows
+    with a nonzero entry in the slot and the columns with a nonzero entry in
+    row `leave`: every other entry would change by 0 * y.  The rhs is
+    updated with the row and kept nonnegative.
     """
-    tab[leave] /= tab[leave, enter]
-    touched = tab[:, enter].nonzero()[0]
+    p = tab[leave, slot]
+    tab[leave] /= p
+    touched = tab[:, slot].nonzero()[0]
     rows = touched[touched != leave]
+    t = tab[rows, slot]
+    tab[rows, slot] = 0.0
+    tab[leave, slot] = 1.0 / p
     cols = tab[leave].nonzero()[0]
     row = tab[leave, cols]
     step = max(1, _UPDATE_BLOCK_BYTES // row.nbytes)
     for lo in range(0, rows.size, step):
-        block = rows[lo:lo + step, None]
-        tab[block, cols] -= tab[block, enter] * row
+        tab[rows[lo:lo + step, None], cols] -= t[lo:lo + step, None] * row
     rhs = tab[:, -1]
     rhs[touched] = np.maximum(rhs[touched], 0.0)
-    basis[leave] = enter
+    basis[leave], ids[slot] = ids[slot], basis[leave]
 
 
-def _simplex(tab, c, basis, counter):
-    """Run phase iterations on the current tableau in place.
+def _simplex(tab, c, basis, ids, counter):
+    """Run phase iterations on the condensed tableau in place.
 
-    tab is [B^-1 A | B^-1 rhs] for the full column set; c prices every column
-    but the rhs; basis maps rows to column indices.  Reduced costs read only
-    the rows whose basic variable has a nonzero cost: the artificials still
-    basic in phase 1, the priced columns in phase 2.  Returns "optimal" or
+    tab is [B^-1 N | B^-1 rhs] for the nonbasic columns that ids names; c
+    prices every variable id; basis maps rows to variable ids.  Reduced
+    costs c[ids] - c_B B^-1 N read only the rows whose basic variable has a
+    nonzero cost: the artificials still basic in phase 1, the priced columns
+    in phase 2.  Ties in the entering choice, Dantzig's and Bland's alike,
+    go to the lowest variable id, whatever its slot.  Returns "optimal" or
     "unbounded".  counter is a one-element iteration budget.
     """
     m = tab.shape[0]
@@ -233,34 +258,37 @@ def _simplex(tab, c, basis, counter):
 
         cb = c[basis]
         priced = cb.nonzero()[0]
-        z = c - cb[priced] @ tab[priced, :-1]
+        z = c[ids] - cb[priced] @ tab[priced, :-1]
         if bland:
-            improving = np.flatnonzero(z < -FEAS_TOL)
+            improving = (z < -FEAS_TOL).nonzero()[0]
             if improving.size == 0:
                 return "optimal"
-            enter = improving[0]
+            enter = improving[ids[improving].argmin()]
         else:
-            enter = int(np.argmin(z))
+            enter = z.argmin()
             if z[enter] >= -FEAS_TOL:
                 return "optimal"
+            tied = (z == z[enter]).nonzero()[0]
+            if tied.size > 1:
+                enter = tied[ids[tied].argmin()]
 
         col = tab[:, enter]
         usable = col > PIVOT_TOL
-        if not np.any(usable):
+        if not usable.any():
             return "unbounded"
         ratios = np.full(m, np.inf)
         ratios[usable] = rhs[usable] / col[usable]
         best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + FEAS_TOL)
+        tied = (ratios <= best + FEAS_TOL).nonzero()[0]
         if bland:
-            leave = tied[np.argmin(basis[tied])]  # lowest variable index wins
+            leave = tied[basis[tied].argmin()]  # lowest variable index wins
         else:
             # A pivot barely above PIVOT_TOL is rounding noise; dividing its
             # row by it wrecks the tableau.  Keep only comparably large
             # entries, then take the lowest variable index for determinism.
             entries = col[tied]
             strong = tied[entries >= 0.5 * entries.max()]
-            leave = strong[np.argmin(basis[strong])]
+            leave = strong[basis[strong].argmin()]
 
         if best <= FEAS_TOL:
             degenerate += 1
@@ -269,37 +297,40 @@ def _simplex(tab, c, basis, counter):
         else:
             degenerate = 0
 
-        _pivot(tab, basis, leave, enter)
+        _pivot(tab, basis, ids, leave, enter)
 
 
 class _PhaseOne:
     """Phase 1, run in place on the standard form's tableau; shared by
-    solve_lp and check_feasible."""
+    solve_lp and check_feasible.  An artificial that left the basis keeps
+    its slot and may enter again."""
 
     def __init__(self, std):
-        tab, basis, n = std.tab, std.basis, std.n_struct
+        tab, basis, ids, n = std.tab, std.basis, std.ids, std.n_struct
         counter = [0]
-        c1 = np.zeros(tab.shape[1] - 1)
+        c1 = np.zeros(n + std.n_art)
         c1[n:] = 1.0
-        status = _simplex(tab, c1, basis, counter)
+        status = _simplex(tab, c1, basis, ids, counter)
         if status != "optimal":
             raise NumericalError("phase 1 lost boundedness")
 
         self.counter = counter
-        self.tab, self.basis = tab, basis
+        self.tab, self.basis, self.ids = tab, basis, ids
         self.n_struct = n
         self.infeasible = float(c1[basis] @ tab[:, -1]) > FEAS_TOL
         self.row_alive = np.ones(tab.shape[0], dtype=bool)
 
     def drive_out_artificials(self):
-        n = self.n_struct
-        for r in np.flatnonzero(self.basis >= n):
-            row = self.tab[r, :n]
-            enter = int(np.argmax(np.abs(row)))  # largest entry: stable pivot
-            if abs(row[enter]) <= PIVOT_TOL:
+        n, ids = self.n_struct, self.ids
+        for r in (self.basis >= n).nonzero()[0]:
+            slots = (ids < n).nonzero()[0]
+            size = np.abs(self.tab[r, slots])
+            largest = size.max(initial=0.0)  # largest entry: stable pivot
+            if largest <= PIVOT_TOL:
                 self.row_alive[r] = False  # redundant original row
                 continue
-            _pivot(self.tab, self.basis, r, enter)
+            tied = slots[size == largest]
+            _pivot(self.tab, self.basis, ids, r, tied[ids[tied].argmin()])
 
     def structural_point(self):
         y = np.zeros(self.n_struct)
@@ -317,52 +348,97 @@ def check_feasible(lp):
     return FeasibilityResult(True, std.point_from(phase1.structural_point()))
 
 
-def _unit_rows(original):
-    """For each column of the original rows [a | b] but the rhs, the row of
-    its one nonzero entry, or -1 if it has none or several."""
-    rows, cols = original[:, :-1].nonzero()
-    count = np.bincount(cols, minlength=original.shape[1] - 1)
+def _unit_rows(rows):
+    """For each column of [a | b] but the rhs, the row of its one nonzero
+    entry, or -1 if it has none or several."""
+    nz_rows, cols = rows[:, :-1].nonzero()
+    count = np.bincount(cols, minlength=rows.shape[1] - 1)
     unit = count[cols] == 1
     where = np.full(count.size, -1)
-    where[cols[unit]] = rows[unit]
+    where[cols[unit]] = nz_rows[unit]
     return where
 
 
-def _certified(original, basis, c, unit_rows):
-    """x_B of basis, solved from the original rows [a | b], when the basis is
-    primal feasible and optimal for c there; None otherwise.
+class _Original:
+    """The original rows of the standard form, after phase 1 dropped the
+    redundant ones, and where each structural variable's column lives.
+
+    rows is [a | b] on the explicit columns, those with a slot in the
+    starting tableau, in the order of explicit (their ids).  Every other
+    structural variable is the slack of an inequality row: an implicit unit
+    column.  Per variable id, col is its column of rows or -1 if implicit;
+    unit_row is the row of its one nonzero entry, or -1 if it has none or
+    several; unit_val is that entry.  The slack of a dropped row has no
+    nonzero entry left.
+    """
+
+    def __init__(self, rows, explicit, std, keep):
+        n = std.n_struct
+        self.rows, self.explicit = rows, explicit
+        self.col = np.full(n, -1)
+        self.col[explicit] = np.arange(explicit.size)
+        self.unit_row = np.full(n, -1)
+        self.unit_val = np.ones(n)
+        where = _unit_rows(rows)
+        single = np.flatnonzero(where >= 0)
+        self.unit_row[explicit] = where
+        self.unit_val[explicit[single]] = rows[where[single], single]
+        renumber = np.where(keep, np.cumsum(keep) - 1, -1)
+        implicit = np.flatnonzero(self.col < 0)
+        self.unit_row[implicit] = renumber[implicit - std.n_cols + std.m_eq]
+        self.implicit = implicit[self.unit_row[implicit] >= 0]
+        self.slack_rows = self.unit_row[self.implicit]
+
+    def columns(self, ids):
+        """The dense original columns of the variables ids."""
+        out = np.zeros((self.rows.shape[0], ids.size))
+        col = self.col[ids]
+        explicit = col >= 0
+        out[:, explicit] = self.rows[:, col[explicit]]
+        unit = np.flatnonzero(~explicit & (self.unit_row[ids] >= 0))
+        out[self.unit_row[ids[unit]], unit] = 1.0
+        return out
+
+
+def _certified(original, basis, c):
+    """x_B of basis, solved from the original rows (an _Original), when the
+    basis is primal feasible and optimal for c there; None otherwise.
 
     Most basic columns of an optimum are slacks: columns with one nonzero
-    entry d, in the row that unit_rows gives (see _unit_rows).  Their rows S
-    are eliminated exactly, so only the block K = original[R, rest] of the
-    other rows R and the other basic columns is solved:
-    K x_rest = b_R and K^T y_R = c_rest - cross^T y_S, with
-    cross = original[S, rest], y_S = c_S / d and x_S = (b_S - cross x_rest) / d.
-    Two basic single-entry columns on one row make the basis singular.
+    entry d, in row unit_row.  Their rows S are eliminated exactly, so only
+    the block K = a[R, rest] of the other rows R and the other basic columns
+    is solved: K x_rest = b_R and K^T y_R = c_rest - cross^T y_S, with
+    cross = a[S, rest], y_S = c_S / d and x_S = (b_S - cross x_rest) / d.
+    Two basic single-entry columns on one row, or a basic slack whose row
+    was dropped, make the basis singular.  The reduced costs are
+    c - y^T a on the explicit columns and c - y[row] on the implicit slacks.
     """
-    rows = unit_rows[basis]
+    a = original.rows
+    rows = original.unit_row[basis]
     unit = rows >= 0
-    s_rows, s_cols, rest = rows[unit], basis[unit], basis[~unit]
-    in_s = np.zeros(original.shape[0], dtype=bool)
+    s_rows, s_ids, rest_ids = rows[unit], basis[unit], basis[~unit]
+    rest = original.col[rest_ids]
+    in_s = np.zeros(a.shape[0], dtype=bool)
     in_s[s_rows] = True
-    if np.count_nonzero(in_s) < s_rows.size:
+    if np.count_nonzero(in_s) < s_rows.size or rest.min(initial=0) < 0:
         return None
     r_rows = np.flatnonzero(~in_s)
-    d = original[s_rows, s_cols]
-    cross = original[np.ix_(s_rows, rest)]
-    y = np.empty(original.shape[0])
-    y[s_rows] = c[s_cols] / d
-    k = original[np.ix_(r_rows, rest)]
+    d = original.unit_val[s_ids]
+    cross = a[np.ix_(s_rows, rest)]
+    y = np.empty(a.shape[0])
+    y[s_rows] = c[s_ids] / d
+    k = a[np.ix_(r_rows, rest)]
     try:
-        x_rest = np.linalg.solve(k, original[r_rows, -1])
-        y[r_rows] = np.linalg.solve(k.T, c[rest] - y[s_rows] @ cross)
+        x_rest = np.linalg.solve(k, a[r_rows, -1])
+        y[r_rows] = np.linalg.solve(k.T, c[rest_ids] - y[s_rows] @ cross)
     except np.linalg.LinAlgError:
         return None
     x_b = np.empty(basis.size)
-    x_b[unit] = (original[s_rows, -1] - cross @ x_rest) / d
+    x_b[unit] = (a[s_rows, -1] - cross @ x_rest) / d
     x_b[~unit] = x_rest
-    reduced = c - y @ original[:, :-1]
-    if x_b.min(initial=0.0) < -FEAS_TOL or reduced.min(initial=0.0) < -FEAS_TOL:
+    reduced = min((c[original.explicit] - y @ a[:, :-1]).min(initial=0.0),
+                  (c[original.implicit] - y[original.slack_rows]).min(initial=0.0))
+    if x_b.min(initial=0.0) < -FEAS_TOL or reduced < -FEAS_TOL:
         return None
     return x_b
 
@@ -387,42 +463,55 @@ def solve_lp_costs(lp, costs):
         if c.shape != lp.c.shape or not np.all(np.isfinite(c)):
             raise ValueError(f"each objective needs {lp.n_vars} finite coefficients")
     std = _Standard(lp)
-    original = std.tab[:, np.r_[:std.n_struct, -1]]  # [a | b], before phase 1 pivots it
+    rows, explicit = std.tab.copy(), std.ids.copy()  # before phase 1 pivots them
     phase1 = _PhaseOne(std)
     if phase1.infeasible:
         return [LpSolution(LpStatus.INFEASIBLE) for _ in costs]
     phase1.drive_out_artificials()
 
-    # Phase 2 pivots phase 1's tableau on.  Artificial columns are gone for
-    # good after the drive-out, so the rhs moves into the first of them and
-    # the rest are sliced off without a copy.  Redundant rows go too.
-    tab, basis, keep, n = phase1.tab, phase1.basis, phase1.row_alive, std.n_struct
+    # Phase 2 pivots phase 1's tableau on without the artificial slots: the
+    # last structural slots fill the artificial ones among the first k, the
+    # rhs follows them, and the rest is sliced off without a copy.
+    # Redundant rows go too.
+    tab, basis, ids, keep, n = phase1.tab, phase1.basis, phase1.ids, phase1.row_alive, std.n_struct
     start, spent = basis[keep], phase1.counter[0]
     del phase1, std.tab  # from here on only tab holds the phase-1 tableau
-    tab[:, n] = tab[:, -1]
-    tab = tab[:, :n + 1]
+    struct = (ids < n).nonzero()[0]
+    k = struct.size
+    holes = (ids[:k] >= n).nonzero()[0]
+    if holes.size:
+        fill = struct[k - holes.size:]
+        tab[:, holes] = tab[:, fill]
+        ids[holes] = ids[fill]
+    tab[:, k] = tab[:, -1]
+    tab, ids = tab[:, :k + 1], ids[:k]
     if not keep.all():
-        tab, basis, original = tab[keep], basis[keep], original[keep]
-    unit_rows = _unit_rows(original)
+        tab, basis, rows = tab[keep], basis[keep], rows[keep]
+    original = _Original(rows, explicit, std, keep)
     solutions = []
     for c in costs:
         c_std = std.costs(c)
         x_b = None
-        if _simplex(tab, c_std, basis, [spent]) == "optimal":
-            x_b = _certified(original, basis, c_std, unit_rows)
+        if _simplex(tab, c_std, basis, ids, [spent]) == "optimal":
+            x_b = _certified(original, basis, c_std)
         if x_b is None:
             # Rebuild the tableau from the original data, dropping the
-            # carried one first, so its drift cannot leak forward.
+            # carried one first, so its drift cannot leak forward.  Only the
+            # nonbasic columns and the rhs are solved for.
             tab, basis = None, start.copy()
+            nonbasic = np.ones(n, dtype=bool)
+            nonbasic[basis] = False
+            ids = np.flatnonzero(nonbasic)
             try:
-                tab = np.linalg.solve(original[:, basis], original)
+                tab = np.linalg.solve(original.columns(basis),
+                                      np.column_stack([original.columns(ids), rows[:, -1]]))
             except np.linalg.LinAlgError:
                 raise NumericalError("phase-1 basis is singular on the original rows") from None
             np.clip(tab[:, -1], 0.0, None, out=tab[:, -1])
-            if _simplex(tab, c_std, basis, [spent]) == "unbounded":
+            if _simplex(tab, c_std, basis, ids, [spent]) == "unbounded":
                 solutions.append(LpSolution(LpStatus.UNBOUNDED))
                 continue
-            x_b = _certified(original, basis, c_std, unit_rows)
+            x_b = _certified(original, basis, c_std)
             if x_b is None:
                 raise NumericalError("optimal basis failed its certificate after a rebuild")
         y = np.zeros(std.n_struct)

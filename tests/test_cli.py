@@ -540,3 +540,34 @@ class TestParser:
     def test_unknown_flag(self, tmp_path, capsys):
         path = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
         assert main(["jstar", path, "--wat"]) == EXIT_USAGE
+
+    def test_back_to_back_commands_match_fresh_processes(self, tmp_path, capsys):
+        """The parser is built once per process; commands run one after
+        another in it, a usage error among them, must print and exit as each
+        does alone in a fresh process."""
+        inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
+        sweep = write_json(tmp_path, "sweep.json", SWEEP_SPEC)
+        commands = [["jstar", inst], ["bounds", inst, "--policy", "tv"],
+                    ["jstar", inst, "--wat"], ["frobnicate"],
+                    ["poc-sweep", sweep, "--kappa", "0:2:0.5"], ["bounds", inst]]
+
+        def comparable(out):
+            # A report's wall time differs between runs; everything else may not.
+            return {**json.loads(out), "wall_time": None} if out.startswith("{") else out
+
+        in_process = []
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, comparable(captured.out), captured.err))
+        src = str(Path(polyprocure.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv, got in zip(commands, in_process):
+            proc = subprocess.run([sys.executable, "-m", "polyprocure.cli", *argv],
+                                  capture_output=True, timeout=300,
+                                  env={**os.environ, "PYTHONPATH": pythonpath})
+            fresh = (proc.returncode, comparable(proc.stdout.decode()), proc.stderr.decode())
+            assert got == fresh, argv
+        assert [code for code, _, _ in in_process] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                                       EXIT_OK, EXIT_OK]
+        assert cli.build_parser() is cli.build_parser()
