@@ -131,10 +131,10 @@ def assert_primal_feasible(lp, x, tol=10 * FEAS_TOL):
 def phase_one_tableau_bytes(lp):
     """Bytes of the full phase-1 tableau [A | artificials | b] of lp, the unit
     that memory budgets are given in (the solver stores only its nonbasic
-    columns): one column
-    per bounded variable and two per free one, a row and a slack per <= row
-    and per doubly bounded variable, an artificial per equality row and per
-    <= row whose rhs is negative once the variables are shifted to 0."""
+    columns): one column per bounded variable and two per free one, a row
+    and a slack per <= row and per doubly bounded variable, an artificial
+    per equality row and per <= row whose rhs is negative once the
+    variables are shifted to 0."""
     has_lo, has_up = np.isfinite(lp.lower), np.isfinite(lp.upper)
     offset = np.where(has_lo, lp.lower, np.where(has_up, lp.upper, 0.0))
     m_eq, m_ineq = lp.b_eq.size, lp.b_le.size + np.count_nonzero(has_lo & has_up)
@@ -920,7 +920,8 @@ class TestMemory:
     """Peak traced memory of a solve, in full phase-1 tableaus of its LP.  The
     LPs have the shapes of the benchmark's: a 1214 x 186 scenario-tree check
     and a 704 x 194 oracle.  The condensed tableau of the tree check holds
-    374 of the full tableau's 1587 columns, the oracle's 388 of 1091."""
+    373 of the full tableau's 1587 columns, the oracle's 387 of 1091 (the rhs
+    included)."""
 
     def test_tree_check_peak(self):
         lp = tree_check_lp(1.0)
