@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import FEAS_TOL, check_feasible
-from .polytope import _has_bool, contains_point
-from .procurement import PreconditionError, _coverage_lp
+from .lp import FEAS_TOL, LpStatus, check_feasible
+from .polytope import _numeric, contains_point, scale
+from .procurement import PreconditionError, Resource, _coverage_lp
 
 PREFIX_TOL = 1e-9
 REPLAY_TOL = 1e-7  # slack of a replayed dispatch: signal sum, unprocured output
@@ -109,10 +109,10 @@ def causal_feasibility(tree, resources, alphas):
         return m
 
     links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), tree.value[1:])
-    lp, cols = _coverage_lp(resources, paths, (tree.n_nodes - 1) * n,
-                            trajectory, links, alphas=alphas)
+    pinned = [Resource(scale(res.set, a), 0.0, False) for res, a in zip(resources, alphas)]
+    lp, cols = _coverage_lp(pinned, paths, (tree.n_nodes - 1) * n, trajectory, links)
     res = check_feasible(lp)
-    if not res.feasible:
+    if res.status is not LpStatus.OPTIMAL:
         return CausalCheck(False)
 
     node_outputs = np.zeros((tree.n_nodes, n))
@@ -299,15 +299,18 @@ def read_signals(path):
     """Scenario list from a .json file (array of arrays) or a .csv file
     (optional header row, one signal per row)."""
     if str(path).endswith(".json"):
-        with open(path) as fh:
-            signals = json.load(fh)
-        try:
-            if _has_bool(signals):
-                raise TypeError
-            return np.atleast_2d(np.asarray(signals, dtype=float))
-        except (TypeError, ValueError):
-            raise ValueError(f"{path} must hold an array of numeric arrays") from None
+        return np.atleast_2d(_numeric(_load_json(path),
+                                      f"{path} must hold an array of numeric arrays"))
     return _read_csv(path)
+
+
+def _load_json(path):
+    """The parsed JSON file; a ValueError names the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from None
 
 
 def _read_csv(path):

@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import _read_csv, build_scenario_tree, causal_feasibility, read_signals
+from .causal import (
+    _load_json,
+    _read_csv,
+    build_scenario_tree,
+    causal_feasibility,
+    read_signals,
+)
 from .costalloc import allocate_cost
 from .demandset import (
     SignalDataset,
@@ -123,14 +129,6 @@ def _report(command, digest, results, started, out_path):
                     time.perf_counter() - started)
     _emit(rep.to_json() + "\n", out_path)
     return rep
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read JSON from {path}: {exc}")
 
 
 def _bound_entry(result):

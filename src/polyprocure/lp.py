@@ -12,13 +12,15 @@ nonbasic columns, each named by its variable id, and the rhs; a basic
 column is a unit vector and is not stored, so the slacks that start basic
 and the artificials have no column until they leave the basis.  A pivot is
 a Jordan exchange: the leaving variable takes the entering one's slot.
-Phase 2 carries on from phase 1's tableau without its artificial slots and
-redundant rows.  check_feasible reads its point off the pivoted phase-1
-tableau.  solve_lp_costs solves one program under several objectives with
-one phase 1, and one rule for every objective: phase 2 carries on from the
-tableau it inherits, and an optimal basis is returned only once it is
-certified primal feasible and optimal from the original rows, whose x_B is
-then the returned point, so rank-1 update drift never reaches the caller.
+Every answer is an LpSolution, and one phase-1 routine serves both entry
+points.  check_feasible gives the answer of the zero objective, its point
+read off the pivoted phase-1 tableau.  solve_lp_costs solves one program
+under several objectives with one phase 1, and one rule for every
+objective: phase 2 carries on from the tableau it inherits (phase 1's,
+without its artificial slots and redundant rows, for the first), and an
+optimal basis is returned only once it is certified primal feasible and
+optimal from the original rows, whose x_B is then the returned point, so
+rank-1 update drift never reaches the caller.
 The certificate eliminates the basic single-entry columns (the slacks,
 mostly) exactly and solves only the block of the other basic columns.  A
 basis that fails the certificate, or a carried tableau that says
@@ -117,12 +119,6 @@ class LpSolution:
     status: LpStatus
     point: np.ndarray = None
     objective_value: float = None
-
-
-@dataclass
-class FeasibilityResult:
-    feasible: bool
-    point: np.ndarray = None
 
 
 class _Standard:
@@ -247,6 +243,8 @@ def _simplex(tab, c, basis, ids, counter):
     go to the lowest variable id, whatever its slot.  Returns "optimal" or
     "unbounded".  counter is a one-element iteration budget.
     """
+    if not ids.size:
+        return "optimal"  # no nonbasic column, so nothing can improve
     m = tab.shape[0]
     rhs = tab[:, -1]
     bland = False
@@ -300,63 +298,57 @@ def _simplex(tab, c, basis, ids, counter):
         _pivot(tab, basis, ids, leave, enter)
 
 
-class _PhaseOne:
-    """Phase 1, run in place on the standard form's tableau; shared by
-    solve_lp and check_feasible.  An artificial that left the basis keeps
-    its slot and may enter again."""
+def _phase_one(std):
+    """Phase 1, in place on the standard form's tableau; shared by
+    check_feasible and solve_lp_costs.  An artificial that left the basis
+    keeps its slot and may enter again.  Returns the pivot budget spent
+    and whether the program is infeasible."""
+    n = std.n_struct
+    counter = [0]
+    c1 = np.zeros(n + std.n_art)
+    c1[n:] = 1.0
+    if _simplex(std.tab, c1, std.basis, std.ids, counter) != "optimal":
+        raise NumericalError("phase 1 lost boundedness")
+    return counter[0], float(c1[std.basis] @ std.tab[:, -1]) > FEAS_TOL
 
-    def __init__(self, std):
-        tab, basis, ids, n = std.tab, std.basis, std.ids, std.n_struct
-        counter = [0]
-        c1 = np.zeros(n + std.n_art)
-        c1[n:] = 1.0
-        status = _simplex(tab, c1, basis, ids, counter)
-        if status != "optimal":
-            raise NumericalError("phase 1 lost boundedness")
 
-        self.counter = counter
-        self.tab, self.basis, self.ids = tab, basis, ids
-        self.n_struct = n
-        self.infeasible = float(c1[basis] @ tab[:, -1]) > FEAS_TOL
-        self.row_alive = np.ones(tab.shape[0], dtype=bool)
-
-    def drive_out_artificials(self):
-        n, ids = self.n_struct, self.ids
-        for r in (self.basis >= n).nonzero()[0]:
-            slots = (ids < n).nonzero()[0]
-            size = np.abs(self.tab[r, slots])
-            largest = size.max(initial=0.0)  # largest entry: stable pivot
-            if largest <= PIVOT_TOL:
-                self.row_alive[r] = False  # redundant original row
-                continue
-            tied = slots[size == largest]
-            _pivot(self.tab, self.basis, ids, r, tied[ids[tied].argmin()])
-
-    def structural_point(self):
-        y = np.zeros(self.n_struct)
-        struct = self.row_alive & (self.basis < self.n_struct)
-        y[self.basis[struct]] = self.tab[struct, -1]
-        return y
+def _drive_out(tab, basis, ids, n):
+    """Pivot each artificial still basic after phase 1 out for the
+    structural slot with the largest |entry| in its row, ties to the lowest
+    id.  Returns the mask of rows kept: a row with no usable entry is a
+    redundant original row."""
+    keep = np.ones(tab.shape[0], dtype=bool)
+    for r in (basis >= n).nonzero()[0]:
+        slots = (ids < n).nonzero()[0]
+        size = np.abs(tab[r, slots])
+        largest = size.max(initial=0.0)  # largest entry: stable pivot
+        if largest <= PIVOT_TOL:
+            keep[r] = False
+            continue
+        tied = slots[size == largest]
+        _pivot(tab, basis, ids, r, tied[ids[tied].argmin()])
+    return keep
 
 
 def check_feasible(lp):
-    """Phase-1 only: report a feasible point or Infeasible."""
+    """Phase 1 only: the answer of the zero objective, OPTIMAL at a feasible
+    point read off the phase-1 tableau, or INFEASIBLE."""
     std = _Standard(lp)
-    phase1 = _PhaseOne(std)
-    if phase1.infeasible:
-        return FeasibilityResult(False)
-    return FeasibilityResult(True, std.point_from(phase1.structural_point()))
+    if _phase_one(std)[1]:
+        return LpSolution(LpStatus.INFEASIBLE)
+    struct = std.basis < std.n_struct
+    y = np.zeros(std.n_struct)
+    y[std.basis[struct]] = std.tab[struct, -1]
+    return LpSolution(LpStatus.OPTIMAL, std.point_from(y), 0.0)
 
 
 def _unit_rows(rows):
     """For each column of [a | b] but the rhs, the row of its one nonzero
     entry, or -1 if it has none or several."""
-    nz_rows, cols = rows[:, :-1].nonzero()
-    count = np.bincount(cols, minlength=rows.shape[1] - 1)
-    unit = count[cols] == 1
-    where = np.full(count.size, -1)
-    where[cols[unit]] = nz_rows[unit]
-    return where
+    nz = rows[:, :-1] != 0
+    if not nz.shape[0]:
+        return np.full(nz.shape[1], -1)  # argmax of an empty axis raises
+    return np.where(nz.sum(0) == 1, nz.argmax(0), -1)
 
 
 class _Original:
@@ -464,18 +456,18 @@ def solve_lp_costs(lp, costs):
             raise ValueError(f"each objective needs {lp.n_vars} finite coefficients")
     std = _Standard(lp)
     rows, explicit = std.tab.copy(), std.ids.copy()  # before phase 1 pivots them
-    phase1 = _PhaseOne(std)
-    if phase1.infeasible:
+    spent, infeasible = _phase_one(std)
+    if infeasible:
         return [LpSolution(LpStatus.INFEASIBLE) for _ in costs]
-    phase1.drive_out_artificials()
 
     # Phase 2 pivots phase 1's tableau on without the artificial slots: the
     # last structural slots fill the artificial ones among the first k, the
     # rhs follows them, and the rest is sliced off without a copy.
     # Redundant rows go too.
-    tab, basis, ids, keep, n = phase1.tab, phase1.basis, phase1.ids, phase1.row_alive, std.n_struct
-    start, spent = basis[keep], phase1.counter[0]
-    del phase1, std.tab  # from here on only tab holds the phase-1 tableau
+    tab, basis, ids, n = std.tab, std.basis, std.ids, std.n_struct
+    keep = _drive_out(tab, basis, ids, n)
+    start = basis[keep]
+    del std.tab  # from here on only tab holds the phase-1 tableau
     struct = (ids < n).nonzero()[0]
     k = struct.size
     holes = (ids[:k] >= n).nonzero()[0]

@@ -275,7 +275,7 @@ def contains_point(p, x, delta=1.0, center=None):
         if p.n_aux == 0:
             return bool(np.all(resid >= -FEAS_TOL))
         probe = LinearProgram(c=np.zeros(p.n_aux), a_le=a_aux, b_le=resid)
-        return check_feasible(probe).feasible
+        return check_feasible(probe).status is LpStatus.OPTIMAL
 
     return convex_coefficients(p, x, delta, c) is not None
 
@@ -288,8 +288,7 @@ def convex_coefficients(p, x, delta=1.0, center=None):
     a_eq = np.vstack([delta * (verts - c).T, np.ones((1, k))])
     b_eq = np.concatenate([x - c, [1.0]])
     probe = LinearProgram(c=np.zeros(k), a_eq=a_eq, b_eq=b_eq, lower=np.zeros(k))
-    res = check_feasible(probe)
-    return res.point if res.feasible else None
+    return check_feasible(probe).point
 
 
 def _exposed(pts, among, directions):
@@ -440,14 +439,18 @@ def _has_bool(value):
     return isinstance(value, bool)
 
 
-def _floats(obj, key):
-    value = _field(obj, key)
+def _numeric(value, message):
+    """value as a float array; ValueError(message) if it is not numeric."""
     try:
         if _has_bool(value):
             raise TypeError
         return np.array(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"'{key}' must be a numeric array") from None
+        raise ValueError(message) from None
+
+
+def _floats(obj, key):
+    return _numeric(_field(obj, key), f"'{key}' must be a numeric array")
 
 
 @contextmanager

@@ -100,8 +100,7 @@ _Columns = namedtuple("_Columns", "alpha theta aux")
 
 
 def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
-                 theta_cost=0.0, theta_lower=-np.inf, theta_upper=np.inf,
-                 alphas=None):
+                 theta_cost=0.0, theta_lower=-np.inf, theta_upper=np.inf):
     """The coverage LP shared by the oracle, every policy class and the
     scenario-tree check: resource i's trajectory on scenario k lies in its
     alpha_i-scaled unit set, a_out q_ik + a_aux w_ik <= alpha_i b.
@@ -111,15 +110,15 @@ def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
     whose nodes agree at tau, the others are free per scenario.  The policy
     class is the parameter count n_theta, the map trajectory(i, k) -> T x
     n_theta taking theta to q_ik, and equality rows `links` = (a, b) with
-    bounds and a linear objective on theta.  `alphas` fixes the scales;
-    without it alpha_i is a decision priced at resource i's price for
-    scalable resources and pinned to 1 for the others.
+    bounds and a linear objective on theta.  alpha_i is a decision priced
+    at resource i's price for a scalable resource and pinned to 1 for the
+    others; a caller fixes a scale by passing the scaled set, not scalable.
 
     Columns are alpha, theta, then aux per resource, scenario and aux
     coordinate; rows are the links, then the resource rows resource-major.
     """
     k, t = nodes.shape
-    priced = [i for i, res in enumerate(resources) if alphas is None and res.scalable]
+    priced = [i for i, res in enumerate(resources) if res.scalable]
     alpha_col = {i: col for col, i in enumerate(priced)}
     theta = slice(len(priced), len(priced) + n_theta)
 
@@ -163,7 +162,7 @@ def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
             if i in alpha_col:
                 a_le[rows, alpha_col[i]] = -p.b
             else:
-                b_le[rows] = (1.0 if alphas is None else alphas[i]) * p.b
+                b_le[rows] = p.b
             row += m
 
     c = np.zeros(nv)

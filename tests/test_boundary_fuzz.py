@@ -1,8 +1,8 @@
 """Fuzz the input boundary of the command line.
 
 One field of a small valid input is mutated: a key of an instance or sweep
-JSON file, a cell of a scenario, participant or history CSV file, or a
-numeric option.
+JSON file or of a scenario JSON file, a cell of a scenario, participant or
+history CSV file, or a numeric option.
 The mutation drops it, swaps its type, or puts NaN, +-Infinity, 1e400, a
 negative, a fraction or 1e-9 in its place (as a grid step, 1e-9 asks for
 about 10^9 points, which must be refused before any is built).  Whatever
@@ -51,6 +51,7 @@ FILES = {
         "kappa_index": 1,
     },
     "scenarios.csv": [["e1", "e2", "e3"], ["1", "1", "-2"], ["0.5", "-0.5", "1"]],
+    "scenarios.json": [[1, 1, -2], [0.5, -0.5, 1]],
     "participants.csv": [["d1", "d2", "d3"], ["1", "0", "2"], ["0", "1", "1"],
                          ["1", "1", "0"]],
     "history.csv": [["load"]] + [[f"{1 + 0.1 * (k % 7) - 0.05 * (k % 3):g}"]
@@ -67,6 +68,7 @@ COMMANDS = [
     ["demand", "build", "history.csv", "--T", "3", "--train", "4", "--delta", "1.5"],
     ["demand", "coverage", "history.csv", "--T", "3", "--train", "4",
      "--delta-grid", "1:2:0.5"],
+    ["causal-check", "instance.json", "scenarios.json", "--alpha", "1", "1", "1", "1"],
 ]
 MUTATIONS = ["drop", "string", "list", "object", "null", "bool",
              "nan", "inf", "-inf", "1e400", "negative", "fraction", "tiny"]
@@ -225,6 +227,8 @@ def mutated_commands(draw):
 # Each of these once read true as the number 1 and exited 0.
 @example((COMMANDS[0], "instance.json", ("resources", 0, "battery", "capacity"), "bool"))
 @example((COMMANDS[0], "instance.json", ("resources", 3, "hrep", "aux_periods", 0), "bool"))
+# A scenario JSON file dropped whole: an empty file is not JSON.
+@example((COMMANDS[7], "scenarios.json", (), "drop"))
 def test_mutated_input_exits_cleanly(case):
     argv, target, path, mutation = case
     with tempfile.TemporaryDirectory() as directory:

@@ -419,11 +419,11 @@ class TestCausalCheck:
 
     @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
                                       "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}",
-                                      "[[true, false, true]]"])
+                                      "[[true, false, true]]", "{[1, 1, -2]]"])
     def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
         # JSON goes in a .json file: an object where an array of signals
-        # belongs, and booleans where numbers belong
+        # belongs, booleans where numbers belong, and text that is not JSON
         scen = tmp_path / ("scen.json" if text.startswith(("{", "[")) else "scen.csv")
         scen.write_text(text)
         code = main(["causal-check", inst, str(scen), "--alpha", "1", "1"])
@@ -433,6 +433,7 @@ class TestCausalCheck:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert str(scen) in captured.err
         if text.startswith("["):
             assert "must hold an array of numeric arrays" in captured.err
 

@@ -389,12 +389,12 @@ class TestWorkedPrograms:
     def test_contradictory_rows(self):
         lp = LinearProgram(c=[0.0], a_eq=[[1.0]], b_eq=[1.0], a_le=[[1.0]], b_le=[0.0])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
-        assert not check_feasible(lp).feasible
+        assert check_feasible(lp).status is LpStatus.INFEASIBLE
 
     def test_simplex_facet_point(self):
         lp = LinearProgram(c=[0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], lower=[0.0, 0.0])
         res = check_feasible(lp)
-        assert res.feasible
+        assert res.status is LpStatus.OPTIMAL and res.objective_value == 0.0
         assert res.point.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(res.point >= -1e-9)
 
@@ -410,6 +410,20 @@ class TestWorkedPrograms:
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.point[0] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("a_le, b_le, status", [
+        (None, None, LpStatus.OPTIMAL),
+        (np.zeros((2, 0)), [1.0, 1.0], LpStatus.OPTIMAL),
+        (np.zeros((1, 0)), [-1.0], LpStatus.INFEASIBLE)],
+        ids=["no-rows", "slack-rows", "contradictory-row"])
+    def test_no_nonbasic_column(self, a_le, b_le, status):
+        """With no variables there is no column to price: the starting
+        basis is the verdict, through either entry point."""
+        lp = LinearProgram(c=np.zeros(0), a_le=a_le, b_le=b_le)
+        for sol in (solve_lp(lp), check_feasible(lp)):
+            assert sol.status is status
+            if status is LpStatus.OPTIMAL:
+                assert sol.point.shape == (0,) and sol.objective_value == 0.0
 
 
 class TestValidation:
@@ -457,9 +471,11 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(5)
         for _ in range(60):
             lp = random_boxed_lp(rng, force_feasible=bool(rng.random() < 0.5))
-            by_phase1 = check_feasible(lp).feasible
+            by_phase1 = check_feasible(lp)
             by_solve = solve_lp(lp).status is not LpStatus.INFEASIBLE
-            assert by_phase1 == by_solve
+            assert (by_phase1.status is LpStatus.OPTIMAL) == by_solve
+            if by_solve:
+                assert_primal_feasible(lp, by_phase1.point)
 
 
 class TestAgainstHighs:
@@ -528,7 +544,10 @@ class TestAgainstHighs:
         lp = tree_check_lp(alpha)
         ref = highs(lp)
         assert ref.status in (0, 2)
-        assert check_feasible(lp).feasible is (ref.status == 0)
+        sol = check_feasible(lp)
+        assert (sol.status is LpStatus.OPTIMAL) is (ref.status == 0)
+        if ref.status == 0:
+            assert_primal_feasible(lp, sol.point)
 
 
 def zero_columns(tab):
@@ -842,15 +861,12 @@ class TestPivotRules:
         """An artificial left basic after phase 1 leaves for the structural
         slot with the largest |entry| in its row, ties to the lowest id; a
         row with no usable entry is redundant."""
-        phase1 = object.__new__(lp_module._PhaseOne)
-        phase1.n_struct = 3
-        phase1.tab = np.array([[-2.0, 2.0, 1.0, 5.0, 0.0],
-                               [1e-12, 0.0, 0.0, 1.0, 0.0]])
-        phase1.basis, phase1.ids = np.array([4, 5]), np.array([1, 0, 2, 3])
-        phase1.row_alive = np.ones(2, dtype=bool)
-        phase1.drive_out_artificials()
-        assert phase1.basis.tolist() == [0, 5] and phase1.ids.tolist() == [1, 4, 2, 3]
-        assert phase1.row_alive.tolist() == [True, False]
+        tab = np.array([[-2.0, 2.0, 1.0, 5.0, 0.0],
+                        [1e-12, 0.0, 0.0, 1.0, 0.0]])
+        basis, ids = np.array([4, 5]), np.array([1, 0, 2, 3])
+        keep = lp_module._drive_out(tab, basis, ids, 3)
+        assert basis.tolist() == [0, 5] and ids.tolist() == [1, 4, 2, 3]
+        assert keep.tolist() == [True, False]
 
     def test_departed_artificial_reenters_in_phase_one(self, monkeypatch):
         """Phase 1 prices an artificial that left the basis like any other
@@ -860,7 +876,7 @@ class TestPivotRules:
         inst, lp, affine = affine_fixture("policy_bounds_1300_5.json")
         std = lp_module._Standard(lp)
         moves = recorded_exchanges(monkeypatch)
-        assert not lp_module._PhaseOne(std).infeasible
+        assert not lp_module._phase_one(std)[1]
         departed = [leave for leave, _ in moves]
         reentries = [i for i, (_, enter) in enumerate(moves)
                      if enter >= std.n_struct and enter in departed[:i]]

@@ -380,7 +380,7 @@ class TestMinkowski:
         picks = rng.choice(s.n_vertices, size=10, replace=False)
         for x in s.vertices[picks]:
             # Each candidate splits as q1 + q2 with q_i in its own set.
-            from polyprocure.lp import LinearProgram, check_feasible
+            from polyprocure.lp import LinearProgram, LpStatus, check_feasible
             a = np.hstack([p1.a, np.zeros_like(p2.a)])
             b = np.hstack([np.zeros_like(p1.a), p2.a])
             probe = LinearProgram(
@@ -390,7 +390,7 @@ class TestMinkowski:
                 a_le=np.vstack([a, b]),
                 b_le=np.concatenate([p1.b, p2.b]),
             )
-            assert check_feasible(probe).feasible
+            assert check_feasible(probe).status is LpStatus.OPTIMAL
 
     def test_horizon_mismatch_rejected(self):
         with pytest.raises(ValueError):
