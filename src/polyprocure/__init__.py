@@ -22,7 +22,6 @@ from .polytope import (
     instance_set,
     is_bounded,
     minkowski_candidate_vertices,
-    polytope_from_json,
     scale,
 )
 from .procurement import (
@@ -33,7 +32,6 @@ from .procurement import (
     affine_bound,
     battery_exact_procurement,
     cover_scale,
-    instance_from_json,
     minkowski_demand,
     oracle_sweep,
     price_of_causality,
@@ -54,6 +52,7 @@ from .causal import (
     dispatch_block,
     verify_dispatch,
 )
+from .inputs import instance_from_json, polytope_from_json
 from .costalloc import CostShares, allocate_cost, audit_axioms
 from .demandset import (
     DemandSetModel,

@@ -10,14 +10,12 @@ Also here: affine policy dispatch and the alternating capacity-block policy
 for battery fleets procured at the aggregate two-row LP optimum.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import FEAS_TOL, LpStatus, check_feasible
-from .polytope import _numeric, contains_point, scale
+from .polytope import contains_point, scale
 from .procurement import PreconditionError, Resource, _coverage_lp
 
 PREFIX_TOL = 1e-9
@@ -104,9 +102,7 @@ def causal_feasibility(tree, resources, alphas):
     paths = tree.paths[np.unique(tree.paths[:, -1], return_index=True)[1]]
 
     def trajectory(i, kk):
-        m = np.zeros((t, (tree.n_nodes - 1) * n))
-        m[np.arange(t), (paths[kk] - 1) * n + i] = 1.0
-        return m
+        return (paths[kk] - 1) * n + i, np.eye(t)
 
     links = (np.kron(np.eye(tree.n_nodes - 1), np.ones((1, n))), tree.value[1:])
     pinned = [Resource(scale(res.set, a), 0.0, False) for res, a in zip(resources, alphas)]
@@ -293,48 +289,3 @@ def dispatch_block(schedule, signal):
         fills = new_fills
         x = x_new
     return powers
-
-
-def read_signals(path):
-    """Scenario list from a .json file (array of arrays) or a .csv file
-    (optional header row, one signal per row)."""
-    if str(path).endswith(".json"):
-        return np.atleast_2d(_numeric(_load_json(path),
-                                      f"{path} must hold an array of numeric arrays"))
-    return _read_csv(path)
-
-
-def _load_json(path):
-    """The parsed JSON file; a ValueError names the path."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read JSON from {path}: {exc}") from None
-
-
-def _read_csv(path):
-    """Numeric rows of a CSV file whose first row may be a header.
-
-    Empty, header-only, ragged and non-numeric files raise ValueError with
-    a one-line message.
-    """
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise ValueError(f"cannot read CSV from {path}: {exc}")
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        rows = rows[1:]
-    if not rows:
-        raise ValueError(f"{path} has a header but no data rows")
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError(f"rows of {path} differ in length")
-    try:
-        return np.array([[float(v) for v in r] for r in rows])
-    except ValueError as exc:
-        raise ValueError(f"non-numeric cell in {path}: {exc}")

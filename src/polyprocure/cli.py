@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import (
-    _load_json,
-    _read_csv,
-    build_scenario_tree,
-    causal_feasibility,
-    read_signals,
-)
+from .causal import build_scenario_tree, causal_feasibility
 from .costalloc import allocate_cost
 from .demandset import (
     SignalDataset,
@@ -34,22 +28,26 @@ from .demandset import (
     split,
     window_average,
 )
+from .inputs import (
+    instance_from_json,
+    load_json,
+    read_csv,
+    read_signals,
+    resources_from_json,
+    sweep_from_json,
+)
 from .lp import NumericalError
-from .polytope import _at, _floats, _number, battery_set
+from .polytope import battery_set
 from .procurement import (
     PreconditionError,
     ProcurementInstance,
     Resource,
-    _battery_from_json,
-    _items,
     affine_bound,
     battery_exact_procurement,
-    instance_from_json,
     minkowski_demand,
     oracle_sweep,
     price_of_causality,
     proportional_bound,
-    resources_from_json,
     solve_oracle,
     tv_proportional_bound,
 )
@@ -140,7 +138,7 @@ def _bound_entry(result):
 
 def cmd_jstar(args):
     started = time.perf_counter()
-    inst = instance_from_json(_load_json(args.instance))
+    inst = instance_from_json(load_json(args.instance))
     res = solve_oracle(inst)
     results = _bound_entry(res)
     _report("jstar", _digest(args.instance), results, started, args.out)
@@ -149,7 +147,7 @@ def cmd_jstar(args):
 
 def cmd_bounds(args):
     started = time.perf_counter()
-    inst = instance_from_json(_load_json(args.instance))
+    inst = instance_from_json(load_json(args.instance))
     solvers = {"jstar": solve_oracle, "prop": proportional_bound,
                "tv": tv_proportional_bound, "affine": affine_bound}
     # "all" runs the oracle and every policy; its verdict is the oracle's.
@@ -178,22 +176,7 @@ def _parse_grid(spec):
 
 
 def cmd_poc_sweep(args):
-    spec = _load_json(args.sweep)
-    if not isinstance(spec, dict):
-        raise UsageError(f"sweep spec must be a JSON object, got {type(spec).__name__}")
-    horizon = _number(spec, "horizon", 0, int) or None
-    batteries = []
-    for k, entry in enumerate(_items(spec, "batteries")):
-        with _at(f"batteries[{k}]"):
-            batteries.append(_battery_from_json(entry, horizon))
-    prices = _floats(spec, "prices")
-    if prices.shape != (len(batteries),):
-        raise UsageError("one price per battery required")
-    prices = prices.tolist()
-    kappa_index = _number(spec, "kappa_index", kind=int)
-    if not 0 <= kappa_index < len(prices):
-        raise UsageError("kappa_index out of range")
-
+    batteries, prices, kappa_index = sweep_from_json(load_json(args.sweep))
     kappas = _parse_grid(args.kappa)
     base = [Resource(battery_set(b), p) for b, p in zip(batteries, prices)]
     demand = minkowski_demand(base)  # prices don't move the demand set
@@ -224,7 +207,7 @@ def cmd_poc_sweep(args):
 
 def cmd_causal_check(args):
     started = time.perf_counter()
-    resources = resources_from_json(_load_json(args.instance))
+    resources = resources_from_json(load_json(args.instance))
     signals = read_signals(args.scenarios)
     tree = build_scenario_tree(signals)
     check = causal_feasibility(tree, resources, args.alpha)
@@ -243,9 +226,9 @@ def cmd_causal_check(args):
 
 def cmd_cost_alloc(args):
     started = time.perf_counter()
-    participants = _read_csv(args.participants)
+    participants = read_csv(args.participants)
     if args.aggregate:
-        e = _read_csv(args.aggregate).ravel()
+        e = read_csv(args.aggregate).ravel()
     else:
         e = participants.sum(axis=0)
     shares = allocate_cost(participants, e, args.jss)
@@ -259,7 +242,7 @@ def cmd_cost_alloc(args):
 def _load_dataset(args):
     if args.window < 0:
         raise UsageError("--window must not be negative")
-    table = _read_csv(args.data)
+    table = read_csv(args.data)
     if table.shape[1] == 1:
         series = table.ravel()
         if args.window > 1:

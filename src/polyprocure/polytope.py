@@ -7,7 +7,6 @@ immutable and pure.
 """
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,86 +394,3 @@ def is_bounded(p):
     costs[2 * t + 1, t] = -1.0
     sols = solve_lp_costs(LinearProgram(c=np.zeros(n), a_le=p.a, b_le=p.b), costs)
     return all(sol.status is not LpStatus.UNBOUNDED for sol in sols)
-
-
-_REQUIRED = object()
-
-
-def _field(obj, key, default=_REQUIRED):
-    """obj[key] of parsed JSON; a ValueError names the key at fault."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object, got {type(obj).__name__}")
-    if key in obj:
-        return obj[key]
-    if default is _REQUIRED:
-        raise ValueError(f"missing '{key}'")
-    return default
-
-
-def _number(obj, key, default=_REQUIRED, kind=float):
-    """_field converted by kind; an absent optional key gives the default as is.
-
-    An int field takes only finite integral numbers.
-    """
-    value = _field(obj, key, default)
-    if key not in obj:
-        return value
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"'{key}' must be a number, got {value!r}") from None
-    if kind is int:
-        if not number.is_integer():
-            raise ValueError(f"'{key}' must be an integer, got {value!r}")
-        return int(number)
-    return number
-
-
-def _has_bool(value):
-    """Whether a JSON boolean sits anywhere in value; float(True) is 1.0."""
-    if isinstance(value, list):
-        return any(map(_has_bool, value))
-    return isinstance(value, bool)
-
-
-def _numeric(value, message):
-    """value as a float array; ValueError(message) if it is not numeric."""
-    try:
-        if _has_bool(value):
-            raise TypeError
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
-
-
-def _floats(obj, key):
-    return _numeric(_field(obj, key), f"'{key}' must be a numeric array")
-
-
-@contextmanager
-def _at(path):
-    """Prefix a ValueError raised inside with the JSON path it concerns."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def polytope_from_json(obj):
-    body = _field(obj, "hrep", None)
-    if body is not None:
-        with _at("hrep"):
-            p = HPolytope(_floats(body, "A"), _floats(body, "b"),
-                          horizon=_number(body, "horizon", kind=int),
-                          n_aux=_number(body, "aux", 0, int),
-                          aux_periods=_field(body, "aux_periods", None))
-        if not is_bounded(p):
-            raise ValueError("H-polytope is unbounded in an output coordinate")
-        return p
-    body = _field(obj, "vrep", None)
-    if body is not None:
-        with _at("vrep"):
-            return VPolytope(_floats(body, "vertices"))
-    raise ValueError("polytope JSON needs an 'hrep' or 'vrep' key")

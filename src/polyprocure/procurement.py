@@ -13,22 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import FEAS_TOL, LinearProgram, LpStatus, NumericalError, solve_lp, solve_lp_costs
-from .polytope import (
-    BatchJob,
-    BatterySpec,
-    HPolytope,
-    VPolytope,
-    _at,
-    _field,
-    _number,
-    batch_workload_set,
-    battery_set,
-    extreme_points,
-    hrep_to_vrep,
-    instance_set,
-    minkowski_candidate_vertices,
-    polytope_from_json,
-)
+from .polytope import (HPolytope, VPolytope, extreme_points, hrep_to_vrep,
+                       minkowski_candidate_vertices)
 
 
 class PreconditionError(ValueError):
@@ -108,11 +94,12 @@ def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
     nodes[k, t] names the information state of scenario k at period t; an
     aux coordinate annotated with period tau is shared by the scenarios
     whose nodes agree at tau, the others are free per scenario.  The policy
-    class is the parameter count n_theta, the map trajectory(i, k) -> T x
-    n_theta taking theta to q_ik, and equality rows `links` = (a, b) with
-    bounds and a linear objective on theta.  alpha_i is a decision priced
-    at resource i's price for a scalable resource and pinned to 1 for the
-    others; a caller fixes a scale by passing the scaled set, not scalable.
+    class is the parameter count n_theta, the map trajectory(i, k) ->
+    (columns, block) giving q_ik = block @ theta[columns] from the parameters
+    it depends on, and equality rows `links` = (a, b) with bounds and a
+    linear objective on theta.  alpha_i is a decision priced at resource
+    i's price for a scalable resource and pinned to 1 for the others; a
+    caller fixes a scale by passing the scaled set, not scalable.
 
     Columns are alpha, theta, then aux per resource, scenario and aux
     coordinate; rows are the links, then the resource rows resource-major.
@@ -152,11 +139,8 @@ def _coverage_lp(resources, nodes, n_theta, trajectory, links=None,
         a_out, a_aux = p.a[:, :t], p.a[:, t:]
         for kk in range(k):
             rows = slice(row, row + m)
-            traj = trajectory(i, kk)
-            # Only the parameters this trajectory depends on; a one-column
-            # product rounds exactly like the matrix-vector a_out @ v.
-            used = np.flatnonzero(traj.any(axis=0))
-            a_le[rows, theta.start + used] = a_out @ traj[:, used]
+            columns, block = trajectory(i, kk)
+            a_le[rows, theta.start + np.asarray(columns)] = a_out @ block
             if p.n_aux:
                 a_le[rows, aux_cols[i][kk]] = a_aux
             if i in alpha_col:
@@ -207,13 +191,6 @@ def _solve_policy(inst, what, readout, n_theta, trajectory, links, **bounds):
     return _policy_result(inst, what, solve_lp(lp), cols, readout)
 
 
-def _place(block, n_theta, at=0):
-    """T x n_theta map that is `block` in the columns from `at` on, zero elsewhere."""
-    m = np.zeros((block.shape[0], n_theta))
-    m[:, at:at + block.shape[1]] = block
-    return m
-
-
 def _oracle_lp(inst):
     """The oracle LP, its column plan and its certificate readout.
 
@@ -225,7 +202,7 @@ def _oracle_lp(inst):
     n = inst.n_resources
 
     def trajectory(i, kk):
-        return _place(np.eye(t), n * k * t, (i * k + kk) * t)
+        return (i * k + kk) * t + np.arange(t), np.eye(t)
 
     def readout(theta, x, cols):
         return {"q": theta.reshape(n, k, t), "aux": [x[a] for a in cols.aux]}
@@ -271,7 +248,7 @@ def _max_proportion(p, verts):
     """Largest beta in [0, 1] with beta * v_k inside the unit set for all k;
     None when no proportion works at all."""
     lp, _ = _coverage_lp([Resource(p, 0.0, False)], _private_nodes(verts), 1,
-                         lambda i, kk: _place(verts[kk][:, None], 1), theta_cost=-1.0,
+                         lambda i, kk: ([0], verts[kk][:, None]), theta_cost=-1.0,
                          theta_lower=0.0, theta_upper=1.0)
     sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
@@ -287,7 +264,7 @@ def cover_scale(p, verts):
         return float(max(0.0, ratios.max()))
     # The whole signal on one priced resource: a proportion pinned to 1.
     lp, cols = _coverage_lp([Resource(p, 1.0)], _private_nodes(verts), 1,
-                            lambda i, kk: _place(verts[kk][:, None], 1),
+                            lambda i, kk: ([0], verts[kk][:, None]),
                             theta_lower=1.0, theta_upper=1.0)
     sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
@@ -351,7 +328,7 @@ def _joint_proportions(inst, non_idx, verts):
     """Proportions for non-scalables alone: sum to one, each feasible."""
     nn = len(non_idx)
     lp, _ = _coverage_lp([inst.resources[i] for i in non_idx], _private_nodes(verts),
-                         nn, lambda j, kk: _place(verts[kk][:, None], nn, j),
+                         nn, lambda j, kk: ([j], verts[kk][:, None]),
                          links=(np.ones((1, nn)), [1.0]), theta_lower=0.0,
                          theta_upper=1.0)
     sol = solve_lp(lp)
@@ -367,7 +344,7 @@ def tv_proportional_bound(inst):
     n = inst.n_resources
 
     def trajectory(i, kk):
-        return _place(np.diag(verts[kk]), n * t, i * t)
+        return i * t + np.arange(t), np.diag(verts[kk])
 
     links = (np.tile(np.eye(t), (1, n)), np.ones(t))
     return _solve_policy(inst, "time-varying proportion",
@@ -388,11 +365,12 @@ def affine_bound(inst):
     ntri = tri_r.size
 
     def trajectory(i, kk):
-        # Packed lower triangle to F @ v_k: entry (r, (r, c)) = v_k[c].
-        m = np.zeros((t, n * (ntri + t)))
-        m[tri_r, i * ntri + np.arange(ntri)] = verts[kk][tri_c]
-        m[:, n * ntri + i * t:n * ntri + (i + 1) * t] = np.eye(t)
-        return m
+        # F_i's packed lower triangle to F_i @ v_k, entry (r, (r, c)) = v_k[c]; D_i
+        block = np.zeros((t, ntri + t))
+        block[tri_r, np.arange(ntri)] = verts[kk][tri_c]
+        block[:, ntri:] = np.eye(t)
+        return (np.r_[i * ntri + np.arange(ntri), n * ntri + i * t + np.arange(t)],
+                block)
 
     def readout(theta, x, cols):
         f = np.zeros((n, t, t))
@@ -457,82 +435,3 @@ def minkowski_demand(resources):
     reduced to its extreme points."""
     hulls = [hrep_to_vrep(res.set) for res in resources]
     return extreme_points(minkowski_candidate_vertices(hulls))
-
-
-def _items(obj, key):
-    value = _field(obj, key)
-    if not isinstance(value, list):
-        raise ValueError(f"'{key}' must be an array, got {type(value).__name__}")
-    return value
-
-
-def _battery_from_json(spec, horizon):
-    """A battery entry; its own horizon overrides the one passed in."""
-    t = _number(spec, "horizon", horizon, int)
-    if t is None:
-        raise ValueError("needs a horizon here or at the top level")
-    return BatterySpec(_number(spec, "capacity"), _number(spec, "rate"),
-                       _number(spec, "soc", 0.0), t)
-
-
-def resource_from_json(entry, horizon=None):
-    """One resource entry; a malformed one raises ValueError naming the key."""
-    price = _number(entry, "price")
-    keys = [k for k in ("battery", "hrep", "instances", "jobs") if k in entry]
-    if len(keys) != 1:
-        raise ValueError("resource needs exactly one of battery/hrep/instances/jobs")
-    kind = keys[0]
-    if kind == "battery":
-        with _at("battery"):
-            p = battery_set(_battery_from_json(entry["battery"], horizon))
-    elif kind == "hrep":
-        p = polytope_from_json({"hrep": entry["hrep"]})
-    elif kind == "instances":
-        body = entry["instances"]
-        t = _number(body, "horizon", horizon, int) if isinstance(body, dict) else horizon
-        if t is None:
-            raise ValueError("instance resource needs a horizon")
-        p = instance_set(t)
-    else:
-        if horizon is None:
-            raise ValueError("job-list resource needs a top-level horizon")
-        jobs = []
-        for n, job in enumerate(_items(entry, "jobs")):
-            with _at(f"jobs[{n}]"):
-                jobs.append(BatchJob(_number(job, "arrival", kind=int),
-                                     _number(job, "deadline", kind=int),
-                                     _number(job, "work")))
-        p = batch_workload_set(jobs, horizon)
-    scalable = _field(entry, "scalable", True)
-    if not isinstance(scalable, bool):
-        raise ValueError(f"'scalable' must be true or false, got {scalable!r}")
-    return Resource(p, price, scalable)
-
-
-def resources_from_json(obj):
-    """Just the resource list of an instance object; skips the demand."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"instance must be a JSON object, got {type(obj).__name__}")
-    horizon = _number(obj, "horizon", None, int)
-    resources = []
-    for k, entry in enumerate(_items(obj, "resources")):
-        with _at(f"resources[{k}]"):
-            resources.append(resource_from_json(entry, horizon))
-    return tuple(resources)
-
-
-def instance_from_json(obj):
-    """Instance schema: {"resources": [...], "demand": {...}, "horizon": T?}.
-
-    A malformed object raises ValueError naming the path at fault.
-    """
-    resources = resources_from_json(obj)
-    demand_spec = _field(obj, "demand")
-    with _at("demand"):
-        if _field(demand_spec, "minkowski_of_resources", False):
-            demand = minkowski_demand(resources)
-        elif "vrep" in demand_spec:
-            demand = polytope_from_json(demand_spec)
-        else:
-            raise ValueError("needs 'vrep' or 'minkowski_of_resources'")
-    return ProcurementInstance(resources, demand)

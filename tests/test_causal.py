@@ -13,9 +13,9 @@ from polyprocure.causal import (
     causal_feasibility,
     dispatch_affine,
     dispatch_block,
-    read_signals,
     verify_dispatch,
 )
+from polyprocure.inputs import read_signals
 from polyprocure.lp import FEAS_TOL, LpStatus
 from polyprocure.polytope import (
     BatchJob,

@@ -419,7 +419,8 @@ class TestCausalCheck:
 
     @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
                                       "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}",
-                                      "[[true, false, true]]", "{[1, 1, -2]]"])
+                                      "[[true, false, true]]", "{[1, 1, -2]]",
+                                      pytest.param("[" * 900 + "]" * 900, id="900 deep")])
     def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
         # JSON goes in a .json file: an object where an array of signals
@@ -532,6 +533,40 @@ class TestDemand:
     def test_missing_T_for_raw(self, tmp_path, capsys):
         path = self.raw_csv(tmp_path)
         assert main(["demand", "build", path, "--train", "3"]) == EXIT_USAGE
+
+
+# Files that once crashed a command with a traceback: (command, file name,
+# contents, the message, which names the file or the JSON path at fault).
+UNREADABLE_FILES = [
+    pytest.param(["cost-alloc", "--jss", "1"], "big.csv",
+                 b"d1,d2\n1," + b"1" * 200000 + b"\n",
+                 "cannot read CSV from {path}: field larger than field limit",
+                 id="200000-character CSV cell"),
+    pytest.param(["cost-alloc", "--jss", "1"], "bom.csv", b"\xff\xfe1,2\n",
+                 "cannot read CSV from {path}: 'utf-8' codec can't decode",
+                 id="CSV that is not UTF-8"),
+    pytest.param(["jstar"], "deep.json", b"[" * 100000,
+                 "cannot read JSON from {path}: maximum recursion depth",
+                 id="JSON 100000 deep"),
+    pytest.param(["jstar"], "inst.json", json.dumps(
+        {**BATTERY_INSTANCE, "demand": {"vrep": {"vertices": "deep"}}}).replace(
+            '"deep"', "[" * 900 + "]" * 900).encode(),
+                 "demand: vrep: 'vertices' must be a numeric array", id="vertices 900 deep"),
+]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command, name, contents, message", UNREADABLE_FILES)
+    def test_exits_with_one_line(self, tmp_path, capsys, command, name, contents, message):
+        path = tmp_path / name
+        path.write_bytes(contents)
+        assert main([command[0], str(path), *command[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message.format(path=path) in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestParser:

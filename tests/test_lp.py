@@ -23,6 +23,7 @@ import polyprocure
 from _fleets import random_fleet_instance
 from polyprocure import causal, lp as lp_module, procurement
 from polyprocure.causal import build_scenario_tree, causal_feasibility
+from polyprocure.inputs import instance_from_json
 from polyprocure.lp import (
     FEAS_TOL,
     IterationLimitError,
@@ -34,7 +35,7 @@ from polyprocure.lp import (
     solve_lp_costs,
 )
 from polyprocure.polytope import BatterySpec, battery_set
-from polyprocure.procurement import Resource, instance_from_json
+from polyprocure.procurement import Resource
 
 
 def brute_force_minimum(lp, tol=1e-9):
@@ -956,7 +957,7 @@ BLAS_CHILD = r"""
 import json, sys
 import numpy as np
 from _fleets import random_fleet_instance
-from polyprocure import lp, procurement
+from polyprocure import inputs, lp, procurement
 from polyprocure.cli import main
 
 fixture, sweep, out = sys.argv[1:]
@@ -964,7 +965,7 @@ sols = []
 procurement.solve_lp = lambda p: sols.append(lp.solve_lp(p)) or sols[-1]
 rng = np.random.default_rng(17)
 insts = [random_fleet_instance(rng)[2] for _ in range(10)]
-insts.append(procurement.instance_from_json(json.load(open(fixture))))
+insts.append(inputs.instance_from_json(json.load(open(fixture))))
 for inst in insts:
     for bound in (procurement.solve_oracle, procurement.tv_proportional_bound,
                   procurement.affine_bound):

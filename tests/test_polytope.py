@@ -24,9 +24,9 @@ from polyprocure.polytope import (
     instance_set,
     is_bounded,
     minkowski_candidate_vertices,
-    polytope_from_json,
     scale,
 )
+from polyprocure.inputs import polytope_from_json
 
 BIG_BATTERY = BatterySpec(capacity=3, rate=3, soc=0, horizon=3)
 SLOW_BATTERY = BatterySpec(capacity=3, rate=1, soc=0, horizon=3)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from polyprocure.inputs import instance_from_json
 from polyprocure.lp import LpStatus
 from polyprocure.polytope import (
     BatchJob,
@@ -23,7 +24,6 @@ from polyprocure.procurement import (
     affine_bound,
     battery_exact_procurement,
     cover_scale,
-    instance_from_json,
     minkowski_demand,
     oracle_sweep,
     price_of_causality,
