@@ -56,10 +56,13 @@ def read_csv(path):
 def read_signals(path):
     """Scenario list from a .json file (array of arrays) or a .csv file
     (optional header row, one signal per row)."""
-    if str(path).endswith(".json"):
-        return np.atleast_2d(_numeric(load_json(path),
-                                      f"{path} must hold an array of numeric arrays"))
-    return read_csv(path)
+    if not str(path).endswith(".json"):
+        return read_csv(path)
+    message = f"{path} must hold an array of numeric arrays"
+    signals = np.atleast_2d(_numeric(load_json(path), message))
+    if signals.ndim != 2:
+        raise ValueError(message)
+    return signals
 
 
 _REQUIRED = object()

@@ -419,7 +419,7 @@ class TestCausalCheck:
 
     @pytest.mark.parametrize("text", ["", "\n\n", "e1,e2,e3\n",
                                       "e1,e2,e3\n1,x,2\n", "1,1,-2\n1,1\n", "{}",
-                                      "[[true, false, true]]", "{[1, 1, -2]]",
+                                      "[[true, false, true]]", "{[1, 1, -2]]", "[[[1, 1, -2]]]",
                                       pytest.param("[" * 900 + "]" * 900, id="900 deep")])
     def test_malformed_scenarios_exit_with_one_line(self, tmp_path, capsys, text):
         inst = write_json(tmp_path, "inst.json", BATTERY_INSTANCE)
