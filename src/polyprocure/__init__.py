@@ -40,7 +40,6 @@ from .procurement import (
     tv_proportional_bound,
 )
 from .causal import (
-    AffinePolicy,
     BlockSchedule,
     CausalCheck,
     DispatchRangeError,
@@ -48,7 +47,6 @@ from .causal import (
     build_block_policy,
     build_scenario_tree,
     causal_feasibility,
-    dispatch_affine,
     dispatch_block,
     verify_dispatch,
 )

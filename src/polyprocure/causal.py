@@ -6,8 +6,8 @@ attach to tree nodes rather than scenarios.  Lifted coordinates carrying a
 period annotation (e.g. per-job schedules) share variables the same way;
 unannotated lifts are free per scenario.
 
-Also here: affine policy dispatch and the alternating capacity-block policy
-for battery fleets procured at the aggregate two-row LP optimum.
+Also here: the alternating capacity-block policy for battery fleets
+procured at the aggregate two-row LP optimum.
 """
 
 from dataclasses import dataclass
@@ -132,47 +132,6 @@ def verify_dispatch(trajectories, resources, alphas, signal=None):
         elif np.max(np.abs(trajectories[i])) > REPLAY_TOL:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class AffinePolicy:
-    """Dispatch e -> F_i e + D_i; lower-triangular F_i makes it causal."""
-
-    f: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        if f.ndim != 3 or f.shape[1] != f.shape[2]:
-            raise ValueError("f must be (n_resources, T, T)")
-        if d.shape != f.shape[:2]:
-            raise ValueError("d must be (n_resources, T)")
-        for i in range(f.shape[0]):
-            if np.any(np.triu(f[i], 1) != 0.0):
-                raise ValueError("gain matrices must be lower triangular")
-        if not np.allclose(f.sum(axis=0), np.eye(f.shape[1]), atol=FEAS_TOL):
-            raise ValueError("gains must sum to the identity")
-        if not np.allclose(d.sum(axis=0), 0.0, atol=FEAS_TOL):
-            raise ValueError("offsets must sum to zero")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n_resources(self):
-        return self.f.shape[0]
-
-    @property
-    def horizon(self):
-        return self.f.shape[1]
-
-
-def dispatch_affine(policy, signal):
-    """Per-resource outputs for one signal; rows sum to the signal exactly."""
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape != (policy.horizon,):
-        raise ValueError("signal length differs from policy horizon")
-    return policy.f @ signal + policy.d
 
 
 class DispatchRangeError(RuntimeError):

@@ -52,6 +52,8 @@ class HPolytope:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if self.horizon < 1 or self.n_aux < 0:
             raise ValueError("horizon must be >= 1 and n_aux >= 0")
+        if b.ndim != 1:
+            raise ValueError(f"rhs b must be a flat array, got {b.ndim} dimensions")
         if a.shape != (b.size, self.horizon + self.n_aux):
             raise ValueError(f"constraint matrix {a.shape} does not match "
                              f"{b.size} rows x {self.horizon}+{self.n_aux} columns")
@@ -88,6 +90,8 @@ class VPolytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.size == 0:
             raise ValueError("a V-polytope needs at least one point")
+        if v.ndim != 2:
+            raise ValueError(f"vertices must be an array of points, got {v.ndim} dimensions")
         _require_finite(vertices=v)
         object.__setattr__(self, "vertices", v)
 

@@ -244,16 +244,13 @@ def oracle_sweep(inst, price_rows):
             for priced, sol in zip(swept, solve_lp_costs(lp, costs))]
 
 
-def _max_proportion(p, verts):
-    """Largest beta in [0, 1] with beta * v_k inside the unit set for all k;
-    None when no proportion works at all."""
-    lp, _ = _coverage_lp([Resource(p, 0.0, False)], _private_nodes(verts), 1,
-                         lambda i, kk: ([0], verts[kk][:, None]), theta_cost=-1.0,
-                         theta_lower=0.0, theta_upper=1.0)
+def _proportions(resources, verts, **bounds):
+    """The fixed-proportion LP, resource i's trajectory at vertex k being
+    theta_i * v_k: its optimal point (None if there is none) and column plan."""
+    lp, cols = _coverage_lp(resources, _private_nodes(verts), len(resources),
+                            lambda i, kk: ([i], verts[kk][:, None]), **bounds)
     sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        return None
-    return float(sol.point[0])
+    return (sol.point if sol.status is LpStatus.OPTIMAL else None), cols
 
 
 def cover_scale(p, verts):
@@ -263,13 +260,9 @@ def cover_scale(p, verts):
         ratios = (p.a @ verts.T) / p.b[:, None]
         return float(max(0.0, ratios.max()))
     # The whole signal on one priced resource: a proportion pinned to 1.
-    lp, cols = _coverage_lp([Resource(p, 1.0)], _private_nodes(verts), 1,
-                            lambda i, kk: ([0], verts[kk][:, None]),
-                            theta_lower=1.0, theta_upper=1.0)
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        return None
-    return float(sol.point[cols.alpha[0]])
+    point, cols = _proportions([Resource(p, 1.0)], verts,
+                               theta_lower=1.0, theta_upper=1.0)
+    return None if point is None else float(point[cols.alpha[0]])
 
 
 def proportional_bound(inst):
@@ -283,27 +276,28 @@ def proportional_bound(inst):
 
     beta = np.zeros(n)
     alphas = np.zeros(n)
-    beta_bar = {}
     for i in non_idx:
-        bb = _max_proportion(inst.resources[i].set, verts)
-        if bb is None:
+        # the largest beta in [0, 1] with beta * v_k inside the unit set for all k
+        point, _ = _proportions([inst.resources[i]], verts, theta_cost=-1.0,
+                                theta_lower=0.0, theta_upper=1.0)
+        if point is None:
             return _infeasible()  # no fixed proportion keeps this resource feasible
-        beta_bar[i] = bb
+        beta[i] = point[0]
         alphas[i] = 1.0
-    total_bar = sum(beta_bar.values())
+    total_bar = sum(beta[non_idx])
     non_cost = sum(inst.resources[i].price for i in non_idx)
 
     if non_idx and total_bar >= 1.0:
-        joint = _joint_proportions(inst, non_idx, verts)
-        if joint is None:
+        # proportions for the non-scalables alone: sum to one, each feasible
+        point, cols = _proportions([inst.resources[i] for i in non_idx], verts,
+                                   links=(np.ones((1, len(non_idx))), [1.0]),
+                                   theta_lower=0.0, theta_upper=1.0)
+        if point is None:
             return _infeasible()
-        for i, bi in zip(non_idx, joint):
-            beta[i] = bi
+        beta[non_idx] = point[cols.theta]
         return ProcurementResult(LpStatus.OPTIMAL, alphas, float(non_cost),
                                  {"beta": beta, "virtual_prices": {}})
 
-    for i in non_idx:
-        beta[i] = beta_bar[i]
     residual = 1.0 - total_bar
 
     virtual = {}
@@ -322,19 +316,6 @@ def proportional_bound(inst):
     cost = non_cost + inst.resources[winner].price * alphas[winner]
     return ProcurementResult(LpStatus.OPTIMAL, alphas, float(cost),
                              {"beta": beta, "virtual_prices": virtual})
-
-
-def _joint_proportions(inst, non_idx, verts):
-    """Proportions for non-scalables alone: sum to one, each feasible."""
-    nn = len(non_idx)
-    lp, _ = _coverage_lp([inst.resources[i] for i in non_idx], _private_nodes(verts),
-                         nn, lambda j, kk: ([j], verts[kk][:, None]),
-                         links=(np.ones((1, nn)), [1.0]), theta_lower=0.0,
-                         theta_upper=1.0)
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        return None
-    return [float(b) for b in sol.point[:nn]]
 
 
 def tv_proportional_bound(inst):
@@ -432,6 +413,11 @@ def price_of_causality(jstar, jss):
 
 def minkowski_demand(resources):
     """Demand equal to the Minkowski sum of the resources' unit sets,
-    reduced to its extreme points."""
+    reduced to its extreme points after each addition: every vertex of a sum
+    is a sum of vertices of its summands that maximize a common direction
+    (Gritzmann & Sturmfels 1993), so pruning loses none."""
     hulls = [hrep_to_vrep(res.set) for res in resources]
-    return extreme_points(minkowski_candidate_vertices(hulls))
+    demand = extreme_points(minkowski_candidate_vertices(hulls[:2]))
+    for hull in hulls[2:]:
+        demand = extreme_points(minkowski_candidate_vertices([demand, hull]))
+    return demand

@@ -1,4 +1,4 @@
-"""Scenario-tree causal checks, affine dispatch, and the block policy."""
+"""Scenario-tree causal checks, dispatch replay, and the block policy."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyprocure.causal import (
-    AffinePolicy,
     DispatchRangeError,
     build_block_policy,
     build_scenario_tree,
     causal_feasibility,
-    dispatch_affine,
     dispatch_block,
     verify_dispatch,
 )
@@ -235,44 +233,6 @@ class TestVerifyDispatch:
     def test_rejects_out_of_set(self):
         traj = np.array([[4.0, 0, 0], [0, 0, 0]])  # rate 4 > 3
         assert not verify_dispatch(traj, BATTERY_RESOURCES, [1, 1])
-
-
-class TestAffinePolicy:
-    def test_validation(self):
-        f = np.zeros((2, 2, 2))
-        f[0] = np.eye(2)
-        d = np.zeros((2, 2))
-        AffinePolicy(f, d)  # fine
-        bad = f.copy()
-        bad[0, 0, 1] = 0.5  # above the diagonal
-        with pytest.raises(ValueError):
-            AffinePolicy(bad, d)
-        with pytest.raises(ValueError):
-            AffinePolicy(f * 2, d)  # gains sum to 2I
-        with pytest.raises(ValueError):
-            AffinePolicy(f, d + 1.0)  # offsets sum to 2
-
-    def test_dispatch_shape_check(self):
-        f = np.zeros((1, 2, 2))
-        f[0] = np.eye(2)
-        pol = AffinePolicy(f, np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            dispatch_affine(pol, [1.0, 2.0, 3.0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_dispatch_sums_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        t = int(rng.integers(2, 5))
-        f = np.tril(rng.normal(size=(n, t, t)))
-        f[-1] = np.eye(t) - f[:-1].sum(axis=0)
-        d = rng.normal(size=(n, t))
-        d[-1] = -d[:-1].sum(axis=0)
-        pol = AffinePolicy(f, d)
-        e = rng.normal(size=t)
-        out = dispatch_affine(pol, e)
-        assert np.max(np.abs(out.sum(axis=0) - e)) < 1e-12
 
 
 def reference_layout(batteries, alphas):

@@ -121,6 +121,16 @@ MALFORMED_INSTANCES = [
     ("vertex as a boolean",
      {**BATTERY_INSTANCE, "demand": {"vrep": {"vertices": [[True]]}}},
      "demand: vrep: 'vertices' must be a numeric array"),
+    # Arrays of the wrong rank once failed deep inside with NumPy's message.
+    ("vertices as a 3-D array",
+     {**BATTERY_INSTANCE, "demand": {"vrep": {"vertices": [[[1], [1], [1]]]}}},
+     "demand: vrep: vertices must be an array of points, got 3 dimensions"),
+    ("hrep rhs as a column",
+     {**BATTERY_INSTANCE, "resources": [
+         {"hrep": {"A": [[1, 0, 0], [-1, 0, 0]], "b": [[1], [1]], "horizon": 3},
+          "price": 1},
+         BATTERY_INSTANCE["resources"][1]]},
+     "resources[0]: hrep: rhs b must be a flat array, got 2 dimensions"),
 ]
 
 

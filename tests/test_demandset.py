@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from polyprocure.demandset import (
     DemandSetModel,
@@ -240,7 +241,6 @@ class TestGaugeCoverage:
             assert max(got) <= 15
 
     def test_subspace_history_matches_highs_gauges(self):
-        optimize = pytest.importorskip("scipy.optimize")
         train, val = split(subspace_history(2), 100)
         model = build_model(train)
         spread = (train.samples - model.center).T

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import polyprocure
 from _fleets import random_fleet_instance
@@ -305,8 +306,7 @@ def recorded_solve_shapes(monkeypatch):
 
 
 def highs(lp):
-    """SciPy's HiGHS on lp; skips the test without SciPy."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
+    """SciPy's HiGHS on lp."""
     eq = {"A_eq": lp.a_eq, "b_eq": lp.b_eq} if lp.b_eq.size else {}
     le = {"A_ub": lp.a_le, "b_ub": lp.b_le} if lp.b_le.size else {}
     return linprog(lp.c, **le, **eq, bounds=np.column_stack([lp.lower, lp.upper]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import spatial
 
 from polyprocure import polytope
 from polyprocure.lp import LinearProgram, LpStatus, solve_lp
@@ -456,7 +457,6 @@ class TestExtremePoints:
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_matches_qhull(self, t):
-        spatial = pytest.importorskip("scipy.spatial")
         rng = np.random.default_rng(t)
         for _ in range(10):
             pts = rng.normal(size=(int(rng.integers(t + 1, 40)), t))

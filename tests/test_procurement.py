@@ -14,7 +14,10 @@ from polyprocure.polytope import (
     batch_workload_set,
     battery_set,
     contains_point,
+    extreme_points,
+    hrep_to_vrep,
     instance_set,
+    minkowski_candidate_vertices,
     scale,
 )
 from polyprocure.procurement import (
@@ -32,7 +35,7 @@ from polyprocure.procurement import (
     tv_proportional_bound,
 )
 
-from _fleets import box_set, random_fleet_instance
+from _fleets import box_set, random_battery, random_fleet_instance
 
 FAST = battery_set(BatterySpec(3, 3, 0, 3))
 SLOW = battery_set(BatterySpec(3, 1, 0, 3))
@@ -437,6 +440,29 @@ class TestMinkowskiDemand:
         assert calls["check_feasible"] == 0
         assert calls["solve_lp_costs"] <= 2
         assert demand.n_vertices == 13  # of 64 distinct candidate sums
+
+    @staticmethod
+    def one_shot(resources):
+        """The composition that pruning after each addition replaced: every
+        sum of one vertex per set, pruned once."""
+        return extreme_points(minkowski_candidate_vertices(
+            [hrep_to_vrep(res.set) for res in resources]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pruned_sums_equal_one_shot(self, seed):
+        rng = np.random.default_rng(seed)
+        resources = tuple(
+            Resource(battery_set(random_battery(rng, 3, exact_regime=seed % 2 == 0)), 1.0)
+            for _ in range(3))
+        assert np.array_equal(minkowski_demand(resources).vertices,
+                              self.one_shot(resources).vertices)
+
+    def test_three_batteries_at_four_periods(self):
+        # One-shot, this fleet forms 14752 candidate sums; the vertex count
+        # is the one that composition found.
+        resources = tuple(Resource(battery_set(BatterySpec(c, r, 0, 4)), 1.0)
+                          for c, r in ((1.5, 1), (1.2, 0.8), (2, 1)))
+        assert minkowski_demand(resources).n_vertices == 32
 
 
 class TestPriceOfCausality:
